@@ -4,7 +4,8 @@
 //! Besides the absolute timings, this bench pits the optimized kernel
 //! (precomputed ρ-tables + branch-free tap splitting, `Engine::run`)
 //! against the naive reference kernel kept as `Engine::run_reference`, and
-//! the LTI impulse-response fast path against per-drive re-simulation. The
+//! the LTI impulse-response fast path against per-drive re-simulation, and
+//! times a cold board's kernel run and render separately. The
 //! measured speedup ratios are published as `metric:` lines and, when
 //! `CRITERION_JSON` is set (see `just bench-scatter`), into the `metrics`
 //! section of `BENCH_scatter.json`.
@@ -165,6 +166,30 @@ fn bench_tapped_response(c: &mut Criterion) {
     group.finish();
 }
 
+/// A cold board's render, split in its two stages: the unit-impulse kernel
+/// run and the render of the default drive from it — what every
+/// never-seen board costs before its first sweep (one 256-segment
+/// `small_test` line, as the simulated fleet fabricates), clean and with
+/// the paper's wire-tap.
+fn bench_cold_board(c: &mut Criterion) {
+    let clean = Board::fabricate(&BoardConfig::small_test(), 5)
+        .line(0)
+        .network();
+    let tapped = Attack::paper_wiretap().apply(&clean);
+    let sim = SimConfig::default();
+    let mut group = c.benchmark_group("scatter/cold_board");
+    for (name, net) in [("clean", &clean), ("tapped", &tapped)] {
+        group.bench_function(format!("impulse_{name}"), |b| {
+            b.iter(|| black_box(net.impulse_response(&sim)))
+        });
+        let ir = net.impulse_response(&sim);
+        group.bench_function(format!("render_{name}"), |b| {
+            b.iter(|| black_box(ir.render(&sim)))
+        });
+    }
+    group.finish();
+}
+
 /// The batched sampling entry point used by the acquisition engine: one
 /// state traversal produces every ETS sample, instead of one traversal
 /// per sample.
@@ -255,6 +280,7 @@ criterion_group!(
     bench_drive_sweep,
     bench_tapped_response,
     bench_batch_response,
+    bench_cold_board,
     bench_response_cache,
     record_speedups
 );

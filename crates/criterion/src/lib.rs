@@ -29,9 +29,11 @@
 //! CRITERION_JSON=BENCH_scatter.json cargo bench -p divot-bench --bench scatter
 //! ```
 //!
-//! The file shape is `{"benchmarks": {name: {...}}, "metrics": {name: v}}`.
-//! Results accumulate process-wide, so multi-group bench binaries produce
-//! one complete file.
+//! The file shape is `{"host_nproc": n, "git_rev": "…", "benchmarks":
+//! {name: {...}}, "metrics": {name: v}}`: the host's core count and the
+//! checkout's `git describe --always --dirty` (`none` outside a git
+//! checkout) say where the numbers were measured. Results accumulate
+//! process-wide, so multi-group bench binaries produce one complete file.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -149,9 +151,40 @@ fn json_number(v: f64) -> String {
     }
 }
 
+/// Where a report was measured.
+#[derive(Debug)]
+struct HostStamp {
+    /// Cores available to the process.
+    nproc: usize,
+    /// The checkout's commit, `-dirty` when the tree has local changes.
+    git_rev: String,
+}
+
+impl HostStamp {
+    fn current() -> Self {
+        let git_rev = std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty", "--abbrev=12"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .unwrap_or_else(|| "none".to_string());
+        Self {
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            git_rev,
+        }
+    }
+}
+
 /// Serialize the accumulated store as the `CRITERION_JSON` document.
-fn render_json(store: &Store) -> String {
-    let mut out = String::from("{\n  \"benchmarks\": {");
+fn render_json(store: &Store, host: &HostStamp) -> String {
+    let mut out = format!(
+        "{{\n  \"host_nproc\": {},\n  \"git_rev\": \"{}\",\n  \"benchmarks\": {{",
+        host.nproc,
+        json_escape(&host.git_rev)
+    );
     for (i, (name, r)) in store.benchmarks.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -186,7 +219,10 @@ fn maybe_write_json() {
     if path.is_empty() {
         return;
     }
-    let json = render_json(&store().lock().expect("bench store poisoned"));
+    let json = render_json(
+        &store().lock().expect("bench store poisoned"),
+        &HostStamp::current(),
+    );
     match std::fs::write(&path, json) {
         Ok(()) => println!("bench-json: wrote {path}"),
         Err(e) => eprintln!("bench-json: failed to write {path}: {e}"),
@@ -450,7 +486,13 @@ mod tests {
             )],
             metrics: vec![("ratio".to_string(), 3.0)],
         };
-        let json = render_json(&s);
+        let host = HostStamp {
+            nproc: 2,
+            git_rev: "abc\"1".to_string(),
+        };
+        let json = render_json(&s, &host);
+        assert!(json.contains("\"host_nproc\": 2,"));
+        assert!(json.contains("\"git_rev\": \"abc\\\"1\","));
         assert!(json.contains("\"a\\\"b\\\\c\""));
         assert!(json.contains("\"median_ns\": 12.5"));
         assert!(json.contains("\"mean_ns\": null"));

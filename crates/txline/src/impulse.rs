@@ -10,9 +10,11 @@
 //! samples. [`Network::impulse_response`] runs the optimized kernel once
 //! with a unit impulse; [`ImpulseResponse::render`] then synthesizes the
 //! edge response of any [`SimConfig`] that shares the system-side
-//! parameters (source impedance — part of the network seen by the wave)
-//! by FFT convolution via `divot_dsp::fft`, at a tiny fraction of a kernel
-//! run's cost.
+//! parameters (source impedance — part of the network seen by the wave),
+//! at a tiny fraction of a kernel run's cost: edges that settle (Linear,
+//! RaisedCosine) render directly from the step response, and any other
+//! drive by FFT convolution via `divot_dsp::fft`, whose impulse spectrum
+//! is only computed the first time such a drive is rendered.
 //!
 //! This is what lets [`ResponseCache`](crate::response::ResponseCache) key
 //! the expensive simulation on environmental state only and treat drive
@@ -24,6 +26,7 @@ use crate::scatter::{Engine, Network, SimConfig};
 use crate::units::Ohms;
 use divot_dsp::fft::{fft_real_padded, ifft_in_place, Complex};
 use divot_dsp::waveform::Waveform;
+use std::sync::OnceLock;
 
 /// Longest settled-drive transient (in ticks) rendered by the direct
 /// step-decomposition path; longer transients fall back to the FFT. 256
@@ -32,7 +35,7 @@ use divot_dsp::waveform::Waveform;
 pub const DIRECT_RENDER_MAX_TRANSIENT: usize = 256;
 
 /// The unit-impulse back-reflection of one network (under one source
-/// impedance), with its spectrum precomputed for fast convolution.
+/// impedance), with its step response precomputed for fast convolution.
 ///
 /// Obtained from [`Network::impulse_response`]; consumed by
 /// [`ImpulseResponse::render`].
@@ -44,9 +47,11 @@ pub struct ImpulseResponse {
     /// to a constant render as `tail · step + (short transient ⊛ h)`, far
     /// cheaper than a full-length FFT convolution.
     cumulative: Vec<f64>,
-    /// FFT of `h` at `fft_size`, computed once so each render costs one
-    /// forward and one inverse transform.
-    spectrum: Vec<Complex>,
+    /// FFT of `h` at `fft_size`, built by the first FFT render and shared
+    /// by every later one (each then costs one forward and one inverse
+    /// transform). Settled-edge drives never need it, so a response that
+    /// only ever renders those never pays for the transform or its memory.
+    spectrum: OnceLock<Vec<Complex>>,
     /// Power-of-two transform size covering `h.len() + drive.len() − 1`
     /// for any drive up to `h.len()` samples (no circular aliasing).
     fft_size: usize,
@@ -78,7 +83,6 @@ impl Network {
         impulse[0] = 1.0;
         let h = engine.run(&impulse).into_samples();
         let fft_size = (2 * ticks.max(1)).next_power_of_two();
-        let spectrum = fft_real_padded(&h, fft_size);
         let cumulative = h
             .iter()
             .scan(0.0, |acc, &x| {
@@ -89,7 +93,7 @@ impl Network {
         ImpulseResponse {
             h,
             cumulative,
-            spectrum,
+            spectrum: OnceLock::new(),
             fft_size,
             dt: self.main.tick().0,
             segments: self.main.profile.len(),
@@ -145,7 +149,8 @@ impl ImpulseResponse {
     /// splits into `tail · step-response + (short transient ⊛ h)` — a
     /// prefix-sum lookup plus an `O(rise_ticks · n)` direct convolution.
     /// Anything else (e.g. an asymptotic Exponential edge) takes the
-    /// general FFT convolution against the precomputed spectrum.
+    /// general FFT convolution against the impulse spectrum, which the
+    /// first such render computes and keeps.
     pub fn render(&self, cfg: &SimConfig) -> Option<Waveform> {
         if !self.supports(cfg) {
             return None;
@@ -165,23 +170,31 @@ impl ImpulseResponse {
     /// Step-decomposition render: `drive = tail·u[n] + e[n]` with `e`
     /// supported on the first `transient` ticks, so
     /// `y[n] = tail·cumsum(h)[n] + Σ_m e[m]·h[n−m]`.
+    ///
+    /// Transient-outer: each `e[m]` is added into `y[m..]` as one `axpy`
+    /// over `h`. Every `y[n]` still starts from `tail·cumsum(h)[n]` and adds
+    /// its terms in the order `m = 0, 1, …`, so the bits are those of the
+    /// per-sample sum.
     fn render_direct(&self, drive: &[f64], tail: f64, transient: usize) -> Vec<f64> {
-        let mut y = Vec::with_capacity(drive.len());
-        for n in 0..drive.len() {
-            let mut acc = tail * self.cumulative[n];
-            for (m, &d) in drive.iter().enumerate().take(transient.min(n + 1)) {
-                acc += (d - tail) * self.h[n - m];
+        let n = drive.len();
+        let mut y: Vec<f64> = self.cumulative[..n].iter().map(|&c| tail * c).collect();
+        for (m, &d) in drive[..transient].iter().enumerate() {
+            let e = d - tail;
+            for (yn, &hn) in y[m..].iter_mut().zip(&self.h[..n - m]) {
+                *yn += e * hn;
             }
-            y.push(acc);
         }
         y
     }
 
-    /// General render: multiply the drive's spectrum against the stored
-    /// impulse spectrum and inverse-transform.
+    /// General render: multiply the drive's spectrum against the impulse
+    /// spectrum (built on first use) and inverse-transform.
     fn render_fft(&self, drive: &[f64]) -> Vec<f64> {
+        let spectrum = self
+            .spectrum
+            .get_or_init(|| fft_real_padded(&self.h, self.fft_size));
         let mut spec = fft_real_padded(drive, self.fft_size);
-        for (d, h) in spec.iter_mut().zip(&self.spectrum) {
+        for (d, h) in spec.iter_mut().zip(spectrum) {
             *d = (d.0 * h.0 - d.1 * h.1, d.0 * h.1 + d.1 * h.0);
         }
         ifft_in_place(&mut spec);
@@ -321,6 +334,29 @@ mod tests {
         for (i, (a, b)) in direct.iter().zip(&fft).enumerate() {
             assert!((a - b).abs() < 1e-11, "sample {i}: {a} vs {b}");
         }
+    }
+
+    #[test]
+    fn only_unsettled_edges_build_the_spectrum() {
+        // An Exponential edge only rounds to its settled level after ~17
+        // rise times: at 600 ps that is ~770 ticks of this 128-segment
+        // grid, far past DIRECT_RENDER_MAX_TRANSIENT.
+        let net = paper_line(128, 4).network();
+        let base = SimConfig {
+            rise_time: Seconds(600e-12),
+            ..SimConfig::default()
+        };
+        let ir = net.impulse_response(&base);
+        for shape in [EdgeShape::RaisedCosine, EdgeShape::Linear] {
+            ir.render(&SimConfig { shape, ..base }).unwrap();
+            assert!(ir.spectrum.get().is_none(), "{shape:?} rendered directly");
+        }
+        ir.render(&SimConfig {
+            shape: EdgeShape::Exponential,
+            ..base
+        })
+        .unwrap();
+        assert!(ir.spectrum.get().is_some(), "Exponential took the FFT path");
     }
 
     #[test]

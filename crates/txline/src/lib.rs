@@ -22,7 +22,7 @@
 //!   from cached impulse responses instead of re-simulating.
 //! * [`impulse`] — the LTI fast path behind that reuse: one unit-impulse
 //!   kernel run per (network, env-state), then any drive shape / amplitude /
-//!   rise time by FFT convolution.
+//!   rise time by convolution (direct for settled edges, FFT otherwise).
 //! * [`termination`] — load models: matched/open/short/resistive and the
 //!   R ∥ C input of a real receiver chip (whose replacement is the cold-boot
 //!   / Trojan signature of Fig. 9(b,c)).

@@ -19,7 +19,8 @@
 //!   [`ImpulseResponse`] per environmental
 //!   state — the only thing that costs a scattering-engine run. The cheap
 //!   tier holds the waveform for the *current* drive, synthesized from the
-//!   impulse response by FFT convolution. Changing the drive with
+//!   impulse response by convolution (see [`ImpulseResponse::render`]).
+//!   Changing the drive with
 //!   [`ResponseCache::set_sim_config`] therefore drops only the derived
 //!   waveforms; the impulse responses survive and every state re-renders
 //!   without touching the engine. A static environment maps every instant
@@ -108,7 +109,7 @@ pub struct CacheStatsView {
     ///
     /// A miss costs either a full engine run (`engine_runs`) or — when the
     /// state's impulse response is still cached after a drive change — just
-    /// an FFT render (`renders`).
+    /// a render (`renders`).
     pub misses: u64,
     /// Scattering-engine runs (the expensive part: one unit-impulse
     /// simulation per distinct environmental state).
@@ -265,7 +266,9 @@ impl ResponseCache {
     /// that already hold the [`EnvState`] avoid re-quantizing).
     ///
     /// Cost ladder, cheapest first: derived-tier hit (pointer clone) →
-    /// impulse-tier hit (one FFT render) → full scattering-engine run.
+    /// impulse-tier hit (one render: a direct step-response render for a
+    /// settled edge such as the default RaisedCosine, an FFT convolution
+    /// otherwise) → full scattering-engine run.
     pub fn response_for_state(
         &mut self,
         base: &Network,

@@ -21,15 +21,17 @@
 //! # Kernel design
 //!
 //! [`Engine::run`] is the optimized kernel every measurement funnels
-//! through: reflection coefficients and their `1±ρ` companions are
-//! precomputed into flat tables in [`Engine::new`] (no divisions in the
-//! hot loop), and the interface walk is split into contiguous tap-free
-//! spans separated by tap junctions so the span sweep is branch-free and
-//! auto-vectorizable, with a dedicated no-tap fast path for the untampered
-//! network. The naive kernel survives as [`Engine::run_reference`] and the
-//! two are bitwise identical (same IEEE-754 operations in the same order).
-//! On top of the kernel, [`crate::impulse`] exploits linearity to reuse
-//! one simulation across arbitrarily many drive shapes.
+//! through: reflection coefficients are precomputed into a flat table in
+//! [`Engine::new`] (no divisions in the hot loop), and the interface walk
+//! is split into contiguous tap-free spans separated by tap junctions so
+//! the span sweep is branch-free and auto-vectorizable, with a dedicated
+//! no-tap fast path for the untampered network. Both paths sweep only the
+//! interfaces inside the run's light cone (see [`Engine::run`]). The naive
+//! kernel survives as [`Engine::run_reference`] and the two are bitwise
+//! identical (same IEEE-754 operations in the same order on every
+//! interface that can reach the output). On top of the kernel,
+//! [`crate::impulse`] exploits linearity to reuse one simulation across
+//! arbitrarily many drive shapes.
 
 use crate::iip::IipProfile;
 use crate::termination::{Reflector, Termination};
@@ -220,12 +222,30 @@ impl SimConfig {
     /// [`drive_samples`](Self::drive_samples) for an explicit launch
     /// impedance and tick length — the form used by the impulse-response
     /// synthesis path, which holds the grid parameters but not the line.
+    ///
+    /// Linear and RaisedCosine edges clamp `u ≥ 1` to exactly `at(1.0)`,
+    /// so once the rise is over the settled level is copied instead of
+    /// re-evaluated: the same bits, without a `cos` per tick.
     pub fn drive_samples_with(&self, z_source: f64, dt: f64, ticks: usize) -> Vec<f64> {
         let divider = z_source / (self.source_impedance.0 + z_source);
         let a = self.amplitude.0 * divider;
-        (0..ticks)
-            .map(|t| a * self.shape.at(t as f64 * dt / self.rise_time.0))
-            .collect()
+        let settled = match self.shape {
+            EdgeShape::Linear | EdgeShape::RaisedCosine => Some(a * self.shape.at(1.0)),
+            EdgeShape::Exponential => None,
+        };
+        let mut samples = Vec::with_capacity(ticks);
+        for t in 0..ticks {
+            let u = t as f64 * dt / self.rise_time.0;
+            match settled {
+                // `u` is monotone in `t`, so every later tick is settled too.
+                Some(level) if u >= 1.0 => {
+                    samples.resize(ticks, level);
+                    break;
+                }
+                _ => samples.push(a * self.shape.at(u)),
+            }
+        }
+        samples
     }
 
     /// Number of engine ticks this config simulates for `line`.
@@ -310,22 +330,26 @@ enum PlanStep {
 /// benchmarks can measure it in isolation.
 ///
 /// Two kernels are compiled: [`Engine::run`], the optimized kernel
-/// (precomputed reflection tables, branch-free tap-span splitting), and
+/// (precomputed reflection table, branch-free tap-span splitting), and
 /// [`Engine::run_reference`], the direct transcription of the physics that
-/// recomputes `ρ` per interface per tick. The optimized kernel performs
-/// the same IEEE-754 operations in the same order, so the two are bitwise
-/// identical; equivalence is pinned by unit tests here and by the
-/// proptests in `tests/scatter_equiv.rs`.
+/// recomputes `ρ` per interface per tick on every interface. The optimized
+/// kernel performs the same IEEE-754 operations in the same order on every
+/// interface that can reach the output, so the two are bitwise identical;
+/// equivalence is pinned by unit tests here and by the proptests in
+/// `tests/scatter_equiv.rs`.
 pub struct Engine {
     z: Vec<f64>,
-    // Precomputed reflection tables, indexed by interface: rho[i] is the
+    // Precomputed reflection table, indexed by interface: rho[i] is the
     // reflection entering segment i from segment i−1 (index 0 is padding
-    // so the tables align with z/f/b). Computing these once in `new`
-    // removes every division from the hot loop.
+    // so the table aligns with z/f/b). Computing it once in `new` removes
+    // every division from the hot loop.
     rho: Vec<f64>,
-    one_plus_rho: Vec<f64>,
-    one_minus_rho: Vec<f64>,
     plan: Vec<PlanStep>,
+    // First interface of the run of negative-ρ interfaces that ends at the
+    // termination (`k` when interface `k − 1` is not one): on a clean line
+    // the only interfaces that carry the termination's `−0` ahead of the
+    // wavefront, so `run` sweeps them every tick.
+    termination_run: usize,
     f: Vec<f64>,
     b: Vec<f64>,
     nf: Vec<f64>,
@@ -340,22 +364,21 @@ pub struct Engine {
 }
 
 /// Branch-free sweep of one tap-free interface span: scatter the
-/// attenuated incident waves through the precomputed reflection tables.
+/// attenuated incident waves through the precomputed reflection table.
 /// All slices have the same length; zipped iteration elides the bounds
 /// checks so LLVM can unroll and vectorize the loop.
 ///
 /// The arithmetic is expression-for-expression the reference kernel's
 /// (`inc_l = a·f`, `inc_r = a·b`, then the `1±ρ` scattering form), so the
-/// result is bitwise identical to [`Engine::run_reference`].
+/// result is bitwise identical to [`Engine::run_reference`]. The `1±ρ`
+/// factors are recomputed here rather than loaded from tables: the same
+/// two adds, and two fewer memory streams in a load-bound loop.
 #[inline]
-#[allow(clippy::too_many_arguments)]
 fn sweep_span(
     a: f64,
     f_prev: &[f64],
     b_cur: &[f64],
     rho: &[f64],
-    one_plus_rho: &[f64],
-    one_minus_rho: &[f64],
     nf_cur: &mut [f64],
     nb_prev: &mut [f64],
 ) {
@@ -364,14 +387,12 @@ fn sweep_span(
         .zip(nb_prev)
         .zip(f_prev)
         .zip(b_cur)
-        .zip(rho)
-        .zip(one_plus_rho)
-        .zip(one_minus_rho);
-    for ((((((nf, nb), &fp), &bc), &r), &p), &m) in it {
+        .zip(rho);
+    for ((((nf, nb), &fp), &bc), &r) in it {
         let inc_l = a * fp;
         let inc_r = a * bc;
-        *nf = p * inc_l - r * inc_r;
-        *nb = r * inc_l + m * inc_r;
+        *nf = (1.0 + r) * inc_l - r * inc_r;
+        *nb = r * inc_l + (1.0 - r) * inc_r;
     }
 }
 
@@ -428,16 +449,11 @@ impl Engine {
         }
         let ticks = cfg.ticks_for(line);
 
-        // Precompute the per-interface reflection tables once — the hot
+        // Precompute the per-interface reflection table once — the hot
         // loop then runs division-free.
         let mut rho = vec![0.0; k];
-        let mut one_plus_rho = vec![0.0; k];
-        let mut one_minus_rho = vec![0.0; k];
         for i in 1..k {
-            let r = (z[i] - z[i - 1]) / (z[i] + z[i - 1]);
-            rho[i] = r;
-            one_plus_rho[i] = 1.0 + r;
-            one_minus_rho[i] = 1.0 - r;
+            rho[i] = (z[i] - z[i - 1]) / (z[i] + z[i - 1]);
         }
 
         // Split the interface walk 1..k into tap-free spans separated by
@@ -456,6 +472,11 @@ impl Engine {
             plan.push(PlanStep::Span { lo, hi: k });
         }
 
+        let mut termination_run = k;
+        while termination_run > 1 && rho[termination_run - 1] < 0.0 {
+            termination_run -= 1;
+        }
+
         Self {
             f: vec![0.0; k],
             b: vec![0.0; k],
@@ -463,9 +484,8 @@ impl Engine {
             nb: vec![0.0; k],
             z,
             rho,
-            one_plus_rho,
-            one_minus_rho,
             plan,
+            termination_run,
             atten,
             rho_source,
             reflector,
@@ -481,8 +501,9 @@ impl Engine {
     }
 
     /// Reset all wave state (main-line and stub waves, termination filter
-    /// state) so the engine can be reused for an independent run without
-    /// reallocating.
+    /// state). [`run`](Self::run) and [`run_reference`](Self::run_reference)
+    /// already do this on entry, so a reused engine never continues an
+    /// earlier run's waves.
     pub fn reset(&mut self) {
         self.f.fill(0.0);
         self.b.fill(0.0);
@@ -514,11 +535,26 @@ impl Engine {
     /// driver stays at its settled level) and recording the backward wave
     /// arriving at the source each tick.
     ///
-    /// This is the optimized kernel: reflection coefficients come from
-    /// tables precomputed in [`Engine::new`] and tap junctions are visited
-    /// via the span plan instead of a per-interface branch. It is bitwise
-    /// identical to [`Engine::run_reference`].
+    /// Every call is an independent run: the wave state is
+    /// [`reset`](Self::reset) on entry, so two calls in a row give the
+    /// same output.
+    ///
+    /// This is the optimized kernel: reflection coefficients come from a
+    /// table precomputed in [`Engine::new`] and tap junctions are visited
+    /// via the span plan instead of a per-interface branch. Each tick
+    /// sweeps only the run's light cone: the state starts at zero and a
+    /// wave crosses one segment per tick, so at tick `t` only interfaces
+    /// `1..=t` can carry a wave, and only interfaces below `ticks − t` can
+    /// still reach the source before the run ends. The termination
+    /// reflector steps every tick as before. On a clean line the run of
+    /// negative-`ρ` interfaces next to the termination is swept every tick
+    /// too (up to `ticks − t`): a termination may reflect the zero ahead
+    /// of the wavefront as `−0` (a short does), and exactly those
+    /// interfaces pass a `−0` on, so sweeping them keeps even the sign of
+    /// a zero sample. The output is bitwise identical to
+    /// [`Engine::run_reference`].
     pub fn run(&mut self, drive: &[f64]) -> Waveform {
+        self.reset();
         if self.taps.is_empty() {
             self.run_clean(drive)
         } else {
@@ -526,9 +562,34 @@ impl Engine {
         }
     }
 
+    /// The light cone of [`run`](Self::run) at tick `t`, as `(front,
+    /// reach)`: interfaces `front..` cannot carry a wave yet and
+    /// interfaces `reach..` can no longer reach the source.
+    #[inline]
+    fn cone(&self, t: usize) -> (usize, usize) {
+        let reach = self.z.len().min(self.ticks - t);
+        (reach.min(t + 1), reach)
+    }
+
+    /// Sweep the tap-free interfaces `lo..hi` (`lo ≥ 1`; empty when
+    /// `lo ≥ hi`).
+    #[inline]
+    fn sweep(&mut self, lo: usize, hi: usize) {
+        if lo < hi {
+            sweep_span(
+                self.atten,
+                &self.f[lo - 1..hi - 1],
+                &self.b[lo..hi],
+                &self.rho[lo..hi],
+                &mut self.nf[lo..hi],
+                &mut self.nb[lo - 1..hi - 1],
+            );
+        }
+    }
+
     /// The no-tap fast path: the untampered network is the common case
     /// (every enrollment, every clean monitor tick), and with no junctions
-    /// the whole interface walk is one tight sweep.
+    /// the cone's interface walk is one tight sweep.
     fn run_clean(&mut self, drive: &[f64]) -> Waveform {
         let k = self.z.len();
         let a = self.atten;
@@ -543,17 +604,11 @@ impl Engine {
             out.push(arriving);
             self.nf[0] = drive_t + self.rho_source * arriving;
 
-            // Internal interfaces 1..k in one branch-free sweep.
-            sweep_span(
-                a,
-                &self.f[..k - 1],
-                &self.b[1..],
-                &self.rho[1..],
-                &self.one_plus_rho[1..],
-                &self.one_minus_rho[1..],
-                &mut self.nf[1..],
-                &mut self.nb[..k - 1],
-            );
+            // The cone's internal interfaces in one branch-free sweep,
+            // plus the termination's negative-ρ run.
+            let (front, reach) = self.cone(t);
+            self.sweep(1, front);
+            self.sweep(self.termination_run.max(front), reach);
 
             // Termination interface.
             let inc_end = a * self.f[k - 1];
@@ -566,7 +621,13 @@ impl Engine {
     }
 
     /// The tapped path: walk the precomputed plan — tap-free spans swept
-    /// exactly like the clean path, tap junctions scattered in between.
+    /// exactly like the clean path, tap junctions scattered in between —
+    /// up to the cone's front. A junction outside the cone leaves its stub
+    /// untouched: before the wavefront arrives the stub holds only zeros,
+    /// and once the cone's far edge passes nothing the stub holds reaches
+    /// the source. The termination's negative-ρ run needs no extra sweep
+    /// here: a junction skips zero inputs whatever their sign, so no `−0`
+    /// gets past the last tap.
     fn run_tapped(&mut self, drive: &[f64]) -> Waveform {
         let k = self.z.len();
         let a = self.atten;
@@ -579,21 +640,23 @@ impl Engine {
             out.push(arriving);
             self.nf[0] = drive_t + self.rho_source * arriving;
 
+            let (front, _) = self.cone(t);
             for si in 0..self.plan.len() {
                 match self.plan[si] {
-                    PlanStep::Span { lo, hi } => sweep_span(
-                        a,
-                        &self.f[lo - 1..hi - 1],
-                        &self.b[lo..hi],
-                        &self.rho[lo..hi],
-                        &self.one_plus_rho[lo..hi],
-                        &self.one_minus_rho[lo..hi],
-                        &mut self.nf[lo..hi],
-                        &mut self.nb[lo - 1..hi - 1],
-                    ),
+                    // Plan steps ascend, so the first one past the front
+                    // ends the tick's walk.
+                    PlanStep::Span { lo, hi } => {
+                        if lo >= front {
+                            break;
+                        }
+                        self.sweep(lo, hi.min(front));
+                    }
                     PlanStep::Tap { tap } => {
                         let (iface, junction, stub) = &mut self.taps[tap];
                         let i = *iface;
+                        if i >= front {
+                            break;
+                        }
                         let inc_l = a * self.f[i - 1];
                         let inc_r = a * self.b[i];
                         let inc_s = stub.atten * stub.b[0];
@@ -633,8 +696,10 @@ impl Engine {
     /// tests and measured against in `crates/bench/benches/scatter.rs`.
     ///
     /// Drive slices shorter than the run are extended by holding the last
-    /// sample, exactly as in [`Engine::run`].
+    /// sample, and the wave state is reset on entry, exactly as in
+    /// [`Engine::run`]. It sweeps every interface on every tick.
     pub fn run_reference(&mut self, drive: &[f64]) -> Waveform {
+        self.reset();
         let k = self.z.len();
         let a = self.atten;
         let mut out = Vec::with_capacity(self.ticks);
@@ -943,21 +1008,67 @@ mod tests {
     }
 
     #[test]
-    fn reset_makes_engine_reusable() {
+    fn every_run_is_independent() {
+        // run → run must equal run → reset → run, bit for bit, in both
+        // kernels and on both optimized paths: a second run never
+        // continues the first one's waves, and a reset engine is reusable.
         let process = crate::iip::FabricationProcess::paper_prototype();
-        let profile = process.sample_profile(Meters(0.25), 128, 17, 0);
         let line = TxLine::new(
-            profile,
+            process.sample_profile(Meters(0.25), 128, 19, 0),
             Termination::Chip(crate::termination::ChipInput::typical_sdram()),
         );
-        let net = line.network();
+        let tapped = Network {
+            main: line.clone(),
+            taps: vec![Tap {
+                position: 0.4,
+                stub: StubSpec::oscilloscope_tap(),
+            }],
+        };
         let cfg = fast_cfg();
-        let mut engine = Engine::new(&net, &cfg);
-        let drive = cfg.drive_samples(&line, engine.ticks());
-        let first = engine.run(&drive);
-        engine.reset();
-        let second = engine.run(&drive);
-        assert_eq!(first, second);
+        let bits = |w: &Waveform| w.samples().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for net in [line.network(), tapped] {
+            let drive = cfg.drive_samples(&line, Engine::new(&net, &cfg).ticks());
+            let kernels: [fn(&mut Engine, &[f64]) -> Waveform; 2] =
+                [Engine::run, Engine::run_reference];
+            for kernel in kernels {
+                let mut engine = Engine::new(&net, &cfg);
+                let first = kernel(&mut engine, &drive);
+                let again = kernel(&mut engine, &drive);
+                engine.reset();
+                let after_reset = kernel(&mut engine, &drive);
+                assert_eq!(bits(&again), bits(&after_reset));
+                assert_eq!(bits(&first), bits(&after_reset));
+            }
+        }
+    }
+
+    #[test]
+    fn settled_drive_tail_matches_per_tick_evaluation() {
+        let line = uniform_line(Termination::Open);
+        for shape in [
+            EdgeShape::Linear,
+            EdgeShape::RaisedCosine,
+            EdgeShape::Exponential,
+        ] {
+            for rise in [0.0, 1e-12, 37e-12, 150e-12, 1e-9] {
+                let cfg = SimConfig {
+                    shape,
+                    rise_time: Seconds(rise),
+                    ..SimConfig::default()
+                };
+                let (z, dt) = (line.profile.z_at_source(), line.tick().0);
+                let a = cfg.amplitude.0 * (z / (cfg.source_impedance.0 + z));
+                let per_tick: Vec<u64> = (0..300)
+                    .map(|t| (a * shape.at(t as f64 * dt / rise)).to_bits())
+                    .collect();
+                let fast: Vec<u64> = cfg
+                    .drive_samples_with(z, dt, 300)
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect();
+                assert_eq!(fast, per_tick, "{shape:?} rise {rise:e}");
+            }
+        }
     }
 
     #[test]
