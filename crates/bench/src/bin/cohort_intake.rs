@@ -431,7 +431,8 @@ fn render_json(
         scenario.cohort_pool
     ));
     format!(
-        "{{\n  \"benchmarks\": {{\n{}\n  }},\n  \"metrics\": {{\n{}\n  }}\n}}\n",
+        "{{\n{}  \"benchmarks\": {{\n{}\n  }},\n  \"metrics\": {{\n{}\n  }}\n}}\n",
+        criterion::HostStamp::current().json_fields(),
         bench_rows.join(",\n"),
         metric_rows.join(",\n"),
     )

@@ -151,17 +151,19 @@ fn json_number(v: f64) -> String {
     }
 }
 
-/// Where a report was measured.
+/// Where a report was measured. Every `BENCH_*.json` leads with it,
+/// including the files bench binaries write without this harness.
 #[derive(Debug)]
-struct HostStamp {
+pub struct HostStamp {
     /// Cores available to the process.
-    nproc: usize,
+    pub nproc: usize,
     /// The checkout's commit, `-dirty` when the tree has local changes.
-    git_rev: String,
+    pub git_rev: String,
 }
 
 impl HostStamp {
-    fn current() -> Self {
+    /// Stamp the current host and checkout.
+    pub fn current() -> Self {
         let git_rev = std::process::Command::new("git")
             .args(["describe", "--always", "--dirty", "--abbrev=12"])
             .output()
@@ -176,15 +178,21 @@ impl HostStamp {
             git_rev,
         }
     }
+
+    /// The stamp as the leading fields of a JSON object, one indented
+    /// line each, ending in a comma and newline.
+    pub fn json_fields(&self) -> String {
+        format!(
+            "  \"host_nproc\": {},\n  \"git_rev\": \"{}\",\n",
+            self.nproc,
+            json_escape(&self.git_rev)
+        )
+    }
 }
 
 /// Serialize the accumulated store as the `CRITERION_JSON` document.
 fn render_json(store: &Store, host: &HostStamp) -> String {
-    let mut out = format!(
-        "{{\n  \"host_nproc\": {},\n  \"git_rev\": \"{}\",\n  \"benchmarks\": {{",
-        host.nproc,
-        json_escape(&host.git_rev)
-    );
+    let mut out = format!("{{\n{}  \"benchmarks\": {{", host.json_fields());
     for (i, (name, r)) in store.benchmarks.iter().enumerate() {
         if i > 0 {
             out.push(',');

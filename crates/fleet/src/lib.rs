@@ -33,20 +33,21 @@
 //!   memoization behind the verify fast path. L1 is per-worker and
 //!   lock-free, L2 is shared; keys embed the store's enrollment
 //!   generation so re-enrollment invalidates without a cache walk.
-//! - [`wire`] — a length-prefixed binary protocol (v1 plain, v2
-//!   pipelined/enveloped) served over `std::net::TcpListener`, plus the
-//!   matching blocking clients ([`TcpFleetClient`],
-//!   [`PipelinedFleetClient`]). The in-process [`FleetClient`] and the
-//!   TCP path share one request/response vocabulary.
+//! - [`wire`] — one length-prefixed binary protocol (id-tagged
+//!   requests, enveloped replies in completion order, streaming
+//!   subscriptions) served over `std::net::TcpListener`, plus the
+//!   matching blocking client ([`PipelinedFleetClient`], whose
+//!   [`call`](PipelinedFleetClient::call) keeps one request in flight).
+//!   The in-process [`FleetClient`] and the TCP path share one
+//!   request/response vocabulary, and the in-process client is the
+//!   reference the wire is checked against: every reply is
+//!   `encode_tagged_response(id, &client.call(request))`'s bytes.
 //! - [`reactor`] — the event-driven server behind
 //!   [`FleetTcpServer::spawn`]: a single poll-based readiness loop
 //!   (via `divot-polling`) multiplexing 10k+ nonblocking connections
 //!   with request pipelining, round-robin fair admission,
 //!   cache-inline serving, device-coalesced batch submission, and
-//!   streaming `MonitorScan` subscriptions. The thread-per-connection
-//!   server survives as
-//!   [`FleetTcpServer::spawn_threaded`] — the
-//!   byte-equivalence reference.
+//!   streaming `MonitorScan` subscriptions.
 //!
 //! # Determinism contract
 //!
@@ -108,4 +109,4 @@ pub use service::{
 };
 pub use sim::{subscription_nonce, Anomaly, FleetSimConfig, SimulatedFleet};
 pub use store::FleetStore;
-pub use wire::{FleetTcpServer, PipelinedFleetClient, TcpFleetClient, WireEvent, WireRequest};
+pub use wire::{FleetTcpServer, PipelinedFleetClient, WireEvent, WireRequest};

@@ -1,4 +1,4 @@
-//! Property pins for the incremental frame decoder and the v2 codec —
+//! Property pins for the incremental frame decoder and the wire codec —
 //! the robustness half of the reactor contract: however the kernel
 //! slices the byte stream, and whatever bytes a client throws at the
 //! server, the decoder reassembles exactly what was sent, rejects
@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use divot_fleet::wire::{
-    decode_event, decode_wire_request, encode_request, encode_request_tagged, encode_scan_frame,
+    decode_event, decode_wire_request, encode_request_tagged, encode_scan_frame,
     encode_stats_frame, encode_stats_subscribe, encode_sub_ack, encode_sub_end, encode_subscribe,
     encode_tagged_response, encode_unsubscribe, FrameBuffer, MAX_FRAME,
 };
@@ -111,7 +111,8 @@ proptest! {
         }
     }
 
-    /// v1 and v2 request frames round-trip the codec bit-exactly.
+    /// Tagged, subscribe, unsubscribe and stats-subscribe request frames
+    /// round-trip the codec bit-exactly, across every request-body tag.
     #[test]
     fn wire_requests_round_trip(
         id in any::<u64>(),
@@ -127,24 +128,27 @@ proptest! {
         // 0 doubles as "no explicit deadline".
         let deadline =
             (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-        // Kinds 4/5 exercise the stats tags, 6/7 the cohort tags; the
-        // rest carry a Verify.
+        // Kind 0 rotates through the enroll, scan, snapshot and batch
+        // tags, kinds 4/5 exercise the stats tags, 6/7 the cohort tags;
+        // the rest carry a Verify.
         let devices: Vec<(String, u64)> = rows
             .iter()
             .map(|(d, n)| (format!("bus-{d:016x}"), *n))
             .collect();
         let request = match kind {
+            0 => match nonce % 4 {
+                0 => Request::Enroll { device: device.clone(), nonce },
+                1 => Request::MonitorScan { device: device.clone(), nonce },
+                2 => Request::RegistrySnapshot,
+                _ => Request::EnrollBatch { devices: devices.clone() },
+            },
             4 => Request::Stats,
             6 => Request::CohortEnroll { devices: devices.clone() },
             7 => Request::IntakeScan { devices: devices.clone() },
             _ => Request::Verify { device: device.clone(), nonce },
         };
         let (wire, expect) = match kind {
-            0 => (
-                encode_request(&request, deadline),
-                WireRequest::Plain { request: request.clone(), deadline },
-            ),
-            1 => (
+            0 | 1 => (
                 encode_request_tagged(id, &request, deadline),
                 WireRequest::Tagged { id, request: request.clone(), deadline },
             ),
@@ -194,7 +198,7 @@ proptest! {
         prop_assert_eq!(decode_wire_request(&wire).expect("decodes"), expect);
     }
 
-    /// v2 server events round-trip the codec bit-exactly (including the
+    /// Server events round-trip the codec bit-exactly (including the
     /// f64 similarity bits inside a carried verdict).
     #[test]
     fn wire_events_round_trip(

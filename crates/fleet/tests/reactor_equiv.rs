@@ -1,27 +1,36 @@
-//! Reactor ⇄ threaded-server equivalence and pipelined determinism.
+//! Reactor ⇄ in-process equivalence and pipelined determinism.
 //!
-//! The reactor is an *optimization*: for a v1 conversation its byte
-//! stream must be identical to the thread-per-connection reference
-//! server's, and pipelined verdicts must be bitwise stable across
+//! The reactor is a transport: for any conversation its reply bytes
+//! must be exactly `encode_tagged_response(id, &client.call(request))`
+//! on the in-process [`FleetClient`](divot_fleet::FleetClient) of a
+//! twin service, and pipelined verdicts must be bitwise stable across
 //! worker counts (the fleet determinism contract lifted onto the
-//! wire). A malformed connection must die alone.
+//! wire). A malformed connection must die alone, and a frame of an
+//! unsupported wire version is refused with a typed error while the
+//! connection lives on.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use divot_fleet::wire::{encode_request, encode_response, read_frame, write_frame};
+use divot_fleet::wire::{
+    decode_event, encode_request_tagged, encode_response, encode_tagged_response, write_frame,
+    FrameBuffer,
+};
 use divot_fleet::{
     FleetConfig, FleetError, FleetService, FleetSimConfig, FleetTcpServer, PipelinedFleetClient,
-    Request, Response, SimulatedFleet, TcpFleetClient, WireEvent,
+    Request, Response, SimulatedFleet, WireEvent,
 };
 
 const SEED: u64 = 77;
 const BUSES: usize = 4;
+/// Bound on any single blocking read: a hung server fails the test
+/// instead of stalling it.
+const READ_TIMEOUT: Duration = Duration::from_secs(60);
 
 fn start_service(workers: usize) -> FleetService {
-    // The cohort floor drops to the tiny test fleet so the v1 script
-    // can exercise the population-model path over the wire too.
+    // The cohort floor drops to the tiny test fleet so the script can
+    // exercise the population-model path over the wire too.
     let mut config = FleetConfig::default().with_workers(workers);
     config.cohort = divot_cohort::CohortConfig {
         min_cohort: BUSES,
@@ -30,53 +39,84 @@ fn start_service(workers: usize) -> FleetService {
     FleetService::start(config, SimulatedFleet::new(FleetSimConfig::fast(BUSES, SEED)))
 }
 
-/// The v1 conversation both servers must answer byte-for-byte alike:
-/// enrolls, verifies (one repeated — the cache inline path), a scan, a
-/// snapshot, an unknown-device error, and a malformed payload.
-fn v1_script() -> Vec<Vec<u8>> {
-    let mut frames: Vec<Vec<u8>> = Vec::new();
-    for i in 0..BUSES {
-        frames.push(encode_request(
-            &Request::Enroll {
-                device: SimulatedFleet::device_name(i),
-                nonce: 1,
-            },
-            None,
-        ));
+/// A raw connection: frames written as given, replies read back as
+/// undecoded payloads through the same [`FrameBuffer`] the reactor uses.
+struct RawConn {
+    stream: TcpStream,
+    frames: FrameBuffer,
+}
+
+impl RawConn {
+    fn connect(addr: std::net::SocketAddr) -> Self {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream.set_read_timeout(Some(READ_TIMEOUT)).expect("timeout");
+        Self {
+            stream,
+            frames: FrameBuffer::new(),
+        }
     }
+
+    /// The next reply payload, or `None` once the server closed.
+    fn recv(&mut self) -> Option<Vec<u8>> {
+        loop {
+            if let Some(frame) = self.frames.next_frame().expect("server frames are well formed") {
+                return Some(frame);
+            }
+            let mut chunk = [0u8; 16 << 10];
+            match self.stream.read(&mut chunk) {
+                Ok(0) => return None,
+                Ok(n) => self.frames.extend(&chunk[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => return None,
+                Err(e) => panic!("read: {e}"),
+            }
+        }
+    }
+
+    fn call(&mut self, frame: &[u8]) -> Vec<u8> {
+        write_frame(&mut self.stream, frame).expect("write");
+        self.recv().expect("reply before close")
+    }
+}
+
+/// The mixed conversation the reactor must answer exactly as the
+/// in-process client does: enrolls, a batch enroll, verifies (one
+/// repeated — the cache inline path), a scan, snapshots, and the typed
+/// errors (unknown device, no cohort model, undersized cohort).
+fn script() -> Vec<Request> {
+    let half = BUSES / 2;
+    let mut script: Vec<Request> = (0..half)
+        .map(|i| Request::Enroll {
+            device: SimulatedFleet::device_name(i),
+            nonce: 1,
+        })
+        .collect();
+    script.push(Request::EnrollBatch {
+        devices: (half..BUSES)
+            .map(|i| (SimulatedFleet::device_name(i), 1))
+            .collect(),
+    });
     for k in 0..8u64 {
-        frames.push(encode_request(
-            &Request::Verify {
-                device: SimulatedFleet::device_name((k % BUSES as u64) as usize),
-                nonce: 500 + k,
-            },
-            None,
-        ));
+        script.push(Request::Verify {
+            device: SimulatedFleet::device_name((k % BUSES as u64) as usize),
+            nonce: 500 + k,
+        });
     }
     // Warm repeat: the reactor answers this from the verdict cache
-    // inline; the bytes must not differ from the threaded recompute.
-    frames.push(encode_request(
-        &Request::Verify {
-            device: SimulatedFleet::device_name(0),
-            nonce: 500,
-        },
-        None,
-    ));
-    frames.push(encode_request(
-        &Request::MonitorScan {
-            device: SimulatedFleet::device_name(1),
-            nonce: 42,
-        },
-        None,
-    ));
-    frames.push(encode_request(&Request::RegistrySnapshot, None));
-    frames.push(encode_request(
-        &Request::Verify {
-            device: "bus-404".into(),
-            nonce: 7,
-        },
-        None,
-    ));
+    // inline; the bytes must not differ from the in-process call.
+    script.push(Request::Verify {
+        device: SimulatedFleet::device_name(0),
+        nonce: 500,
+    });
+    script.push(Request::MonitorScan {
+        device: SimulatedFleet::device_name(1),
+        nonce: 42,
+    });
+    script.push(Request::RegistrySnapshot);
+    script.push(Request::Verify {
+        device: "bus-404".into(),
+        nonce: 7,
+    });
     // Cohort path: a scan before any model is a typed error; enrolling
     // the whole fleet installs a model; an undersized re-enroll is
     // rejected without clobbering it; the scan then reports per-board
@@ -84,75 +124,93 @@ fn v1_script() -> Vec<Vec<u8>> {
     let cohort: Vec<(String, u64)> = (0..BUSES)
         .map(|i| (SimulatedFleet::device_name(i), 21))
         .collect();
-    frames.push(encode_request(
-        &Request::IntakeScan {
-            devices: cohort.clone(),
-        },
-        None,
-    ));
-    frames.push(encode_request(
-        &Request::CohortEnroll {
-            devices: cohort.clone(),
-        },
-        None,
-    ));
-    frames.push(encode_request(
-        &Request::CohortEnroll {
-            devices: cohort[..1].to_vec(),
-        },
-        None,
-    ));
-    frames.push(encode_request(
-        &Request::IntakeScan {
-            devices: (0..BUSES)
-                .map(|i| (SimulatedFleet::device_name(i), 900))
-                .collect(),
-        },
-        None,
-    ));
-    frames.push(encode_request(
-        &Request::IntakeScan {
-            devices: vec![("bus-404".into(), 5)],
-        },
-        None,
-    ));
-    // Unknown wire version: a typed protocol error, connection lives.
-    frames.push(vec![0x99, 0x01, 0x02]);
-    frames.push(encode_request(&Request::RegistrySnapshot, None));
-    frames
-}
-
-/// Run the script serially over one raw connection, returning every
-/// response payload.
-fn run_script(addr: std::net::SocketAddr, script: &[Vec<u8>]) -> Vec<Vec<u8>> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    let mut replies = Vec::with_capacity(script.len());
-    for frame in script {
-        write_frame(&mut stream, frame).expect("write");
-        replies.push(read_frame(&mut stream).expect("read"));
-    }
-    replies
+    script.push(Request::IntakeScan {
+        devices: cohort.clone(),
+    });
+    script.push(Request::CohortEnroll {
+        devices: cohort.clone(),
+    });
+    script.push(Request::CohortEnroll {
+        devices: cohort[..1].to_vec(),
+    });
+    script.push(Request::IntakeScan {
+        devices: (0..BUSES)
+            .map(|i| (SimulatedFleet::device_name(i), 900))
+            .collect(),
+    });
+    script.push(Request::IntakeScan {
+        devices: vec![("bus-404".into(), 5)],
+    });
+    script.push(Request::RegistrySnapshot);
+    script
 }
 
 #[test]
-fn reactor_and_threaded_servers_answer_v1_byte_identically() {
-    // Twin services from the same seed; one behind each server flavor.
-    let svc_a = start_service(2);
-    let svc_b = start_service(2);
-    let reactor = FleetTcpServer::spawn(svc_a.client(), "127.0.0.1:0").expect("bind");
-    let threaded = FleetTcpServer::spawn_threaded(svc_b.client(), "127.0.0.1:0").expect("bind");
+fn reactor_answers_byte_identically_to_the_in_process_client() {
+    // Twin services from the same seed: one behind the reactor, one
+    // called in-process.
+    let svc_wire = start_service(2);
+    let svc_local = start_service(2);
+    let server = FleetTcpServer::spawn(svc_wire.client(), "127.0.0.1:0").expect("bind");
+    let local = svc_local.client();
+    let mut conn = RawConn::connect(server.local_addr());
 
-    let script = v1_script();
-    let from_reactor = run_script(reactor.local_addr(), &script);
-    let from_threaded = run_script(threaded.local_addr(), &script);
-
-    assert_eq!(from_reactor.len(), from_threaded.len());
-    for (i, (a, b)) in from_reactor.iter().zip(&from_threaded).enumerate() {
-        assert_eq!(a, b, "response {i} diverged between reactor and threaded");
+    let script = script();
+    let mut errors = 0;
+    for (i, request) in script.iter().enumerate() {
+        let id = 1000 + i as u64;
+        let got = conn.call(&encode_request_tagged(id, request, None));
+        let outcome = local.call(request.clone());
+        errors += usize::from(outcome.is_err());
+        assert_eq!(
+            got,
+            encode_tagged_response(id, &outcome),
+            "reply {i} ({request:?}) diverged from the in-process client"
+        );
     }
-    drop(reactor);
-    drop(threaded);
+    // The script must actually cross the typed-error paths.
+    assert!(errors >= 4, "script produced only {errors} typed errors");
+    drop(server);
+}
+
+#[test]
+fn version_one_frames_are_refused_and_the_connection_lives_on() {
+    let svc = start_service(2);
+    let server = FleetTcpServer::spawn(svc.client(), "127.0.0.1:0").expect("bind");
+    let mut client = PipelinedFleetClient::connect(server.local_addr()).expect("connect");
+    client.set_recv_timeout(Some(READ_TIMEOUT)).expect("timeout");
+    client
+        .call(
+            &Request::Enroll {
+                device: SimulatedFleet::device_name(0),
+                nonce: 1,
+            },
+            None,
+        )
+        .expect("enroll");
+
+    // A version-1 frame: version byte, u32 deadline, snapshot tag.
+    let mut conn = RawConn::connect(server.local_addr());
+    let reply = conn.call(&[1, 0, 0, 0, 0, 4]);
+    match decode_event(&reply).expect("decodes") {
+        WireEvent::ProtocolError(FleetError::Protocol(msg)) => {
+            assert_eq!(msg, "unsupported wire version 1");
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    // The same connection still serves a tagged verify.
+    let verify = Request::Verify {
+        device: SimulatedFleet::device_name(0),
+        nonce: 9,
+    };
+    match decode_event(&conn.call(&encode_request_tagged(5, &verify, None))).expect("decodes") {
+        WireEvent::Reply { id, outcome } => {
+            assert_eq!(id, 5);
+            assert!(matches!(*outcome, Ok(Response::Verdict { accepted: true, .. })));
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    drop(server);
 }
 
 #[test]
@@ -174,12 +232,15 @@ fn pipelined_verdicts_are_bitwise_identical_across_worker_counts() {
     for workers in [1usize, 2, 8] {
         let svc = start_service(workers);
         let server = FleetTcpServer::spawn(svc.client(), "127.0.0.1:0").expect("bind");
-        let mut ctl = TcpFleetClient::connect(server.local_addr()).expect("connect");
+        let mut ctl = PipelinedFleetClient::connect(server.local_addr()).expect("connect");
         for i in 0..BUSES {
-            ctl.call(&Request::Enroll {
-                device: SimulatedFleet::device_name(i),
-                nonce: 1,
-            })
+            ctl.call(
+                &Request::Enroll {
+                    device: SimulatedFleet::device_name(i),
+                    nonce: 1,
+                },
+                None,
+            )
             .expect("enroll");
         }
         let mut pipe = PipelinedFleetClient::connect(server.local_addr()).expect("connect");
@@ -211,16 +272,19 @@ fn pipelined_verdicts_are_bitwise_identical_across_worker_counts() {
     // Serial blocking reference on a twin service: same bits again.
     let svc = start_service(2);
     let server = FleetTcpServer::spawn(svc.client(), "127.0.0.1:0").expect("bind");
-    let mut ctl = TcpFleetClient::connect(server.local_addr()).expect("connect");
+    let mut ctl = PipelinedFleetClient::connect(server.local_addr()).expect("connect");
     for i in 0..BUSES {
-        ctl.call(&Request::Enroll {
-            device: SimulatedFleet::device_name(i),
-            nonce: 1,
-        })
+        ctl.call(
+            &Request::Enroll {
+                device: SimulatedFleet::device_name(i),
+                nonce: 1,
+            },
+            None,
+        )
         .expect("enroll");
     }
     for (i, request) in requests.iter().enumerate() {
-        let outcome = ctl.call(request);
+        let outcome = ctl.call(request, None);
         assert_eq!(
             encode_response(&outcome),
             reference[i],
@@ -233,30 +297,40 @@ fn pipelined_verdicts_are_bitwise_identical_across_worker_counts() {
 fn garbage_kills_only_the_offending_connection() {
     let svc = start_service(2);
     let server = FleetTcpServer::spawn(svc.client(), "127.0.0.1:0").expect("bind");
-    let mut good = TcpFleetClient::connect(server.local_addr()).expect("connect");
-    good.call(&Request::Enroll {
-        device: SimulatedFleet::device_name(0),
-        nonce: 1,
-    })
+    let mut good = PipelinedFleetClient::connect(server.local_addr()).expect("connect");
+    good.set_recv_timeout(Some(READ_TIMEOUT)).expect("timeout");
+    good.call(
+        &Request::Enroll {
+            device: SimulatedFleet::device_name(0),
+            nonce: 1,
+        },
+        None,
+    )
     .expect("enroll");
 
     // A connection announcing an impossible frame length gets a typed
     // error and a close...
-    let mut evil = TcpStream::connect(server.local_addr()).expect("connect");
-    evil.write_all(&u32::MAX.to_le_bytes()).expect("write");
-    evil.flush().expect("flush");
-    let reply = read_frame(&mut evil).expect("error frame before close");
-    let err = divot_fleet::wire::decode_response(&reply).expect_err("typed error");
-    assert!(matches!(err, FleetError::Protocol(_)), "{err:?}");
-    let eof = read_frame(&mut evil);
-    assert!(eof.is_err(), "oversized-length connection must be closed");
+    let mut evil = RawConn::connect(server.local_addr());
+    evil.stream.write_all(&u32::MAX.to_le_bytes()).expect("write");
+    evil.stream.flush().expect("flush");
+    let reply = evil.recv().expect("error frame before close");
+    match decode_event(&reply).expect("decodes") {
+        WireEvent::ProtocolError(err) => {
+            assert!(matches!(err, FleetError::Protocol(_)), "{err:?}");
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    assert!(evil.recv().is_none(), "oversized-length connection must be closed");
 
     // ...while the well-behaved connection keeps verifying.
     match good
-        .call(&Request::Verify {
-            device: SimulatedFleet::device_name(0),
-            nonce: 9,
-        })
+        .call(
+            &Request::Verify {
+                device: SimulatedFleet::device_name(0),
+                nonce: 9,
+            },
+            None,
+        )
         .expect("good connection survives")
     {
         Response::Verdict { accepted, .. } => assert!(accepted),

@@ -75,7 +75,10 @@ fn stats_probe_and_subscription_over_the_wire() {
     );
 
     // The stats probe itself.
-    let stats = client.request_stats(None).expect("stats");
+    let Response::StatsSnapshot { stats } = client.call(&Request::Stats, None).expect("stats")
+    else {
+        panic!("stats request answered with a non-stats body");
+    };
     assert!(
         stats.queue_capacity > 0,
         "capacity must reflect the admission queue"
@@ -109,7 +112,11 @@ fn stats_probe_and_subscription_over_the_wire() {
     let before = stats
         .histogram("fleet.request.latency.stats")
         .map_or(0, |(c, ..)| c);
-    let again = client.request_stats(None).expect("stats again");
+    let Response::StatsSnapshot { stats: again } =
+        client.call(&Request::Stats, None).expect("stats again")
+    else {
+        panic!("stats request answered with a non-stats body");
+    };
     let after = again
         .histogram("fleet.request.latency.stats")
         .map_or(0, |(c, ..)| c);

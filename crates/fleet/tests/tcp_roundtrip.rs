@@ -6,9 +6,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
+use divot_core::itdr::AcqMode;
 use divot_fleet::{
-    FleetConfig, FleetError, FleetService, FleetSimConfig, FleetTcpServer, Request, Response,
-    SimulatedFleet, TcpFleetClient,
+    FleetConfig, FleetError, FleetService, FleetSimConfig, FleetTcpServer, PipelinedFleetClient,
+    Request, Response, SimulatedFleet, WireEvent,
 };
 
 const SEED: u64 = 44;
@@ -29,13 +30,16 @@ fn sixty_four_concurrent_tcp_verifies_all_accept_with_zero_sheds() {
     let addr = server.local_addr();
 
     // Enroll the whole fleet over the wire.
-    let mut client = TcpFleetClient::connect(addr).expect("connect");
+    let mut client = PipelinedFleetClient::connect(addr).expect("connect");
     for i in 0..BUSES {
         let resp = client
-            .call(&Request::Enroll {
-                device: SimulatedFleet::device_name(i),
-                nonce: 1,
-            })
+            .call(
+                &Request::Enroll {
+                    device: SimulatedFleet::device_name(i),
+                    nonce: 1,
+                },
+                None,
+            )
             .expect("enroll");
         assert!(matches!(resp, Response::Enrolled { .. }), "{resp:?}");
     }
@@ -47,11 +51,12 @@ fn sixty_four_concurrent_tcp_verifies_all_accept_with_zero_sheds() {
         for k in 0..64usize {
             let (sheds, accepts) = (&sheds, &accepts);
             scope.spawn(move || {
-                let mut c = TcpFleetClient::connect(addr).expect("connect");
-                match c.call(&Request::Verify {
+                let mut c = PipelinedFleetClient::connect(addr).expect("connect");
+                let verify = Request::Verify {
                     device: SimulatedFleet::device_name(k % BUSES),
                     nonce: 1000 + k as u64,
-                }) {
+                };
+                match c.call(&verify, None) {
                     Ok(Response::Verdict { accepted, .. }) => {
                         if accepted {
                             accepts.fetch_add(1, Ordering::Relaxed);
@@ -69,7 +74,7 @@ fn sixty_four_concurrent_tcp_verifies_all_accept_with_zero_sheds() {
     assert_eq!(accepts.load(Ordering::Relaxed), 64, "genuine fleet must all-accept");
 
     // Registry snapshot sees every enrolled device.
-    match client.call(&Request::RegistrySnapshot).expect("snapshot") {
+    match client.call(&Request::RegistrySnapshot, None).expect("snapshot") {
         Response::Snapshot { devices } => {
             assert_eq!(devices.len(), BUSES);
             let names: Vec<&str> = devices.iter().map(|(n, _)| n.as_str()).collect();
@@ -83,69 +88,81 @@ fn sixty_four_concurrent_tcp_verifies_all_accept_with_zero_sheds() {
 
 #[test]
 fn tcp_errors_cross_the_wire_typed() {
-    // Single worker so the queue can be held busy deterministically.
+    // One worker, and trial-mode acquisition so a multi-board batch
+    // enroll occupies it for far longer than a 1 ms deadline.
+    const BOARDS: usize = 4;
     let svc = FleetService::start(
         FleetConfig::default().with_workers(1),
-        SimulatedFleet::new(FleetSimConfig::fast(2, SEED)),
+        SimulatedFleet::new(FleetSimConfig::fast(BOARDS, SEED).with_acq_mode(AcqMode::Trial)),
     );
-    let in_proc = svc.client();
     let server = FleetTcpServer::spawn(svc.client(), "127.0.0.1:0").expect("bind loopback");
-    let mut client = TcpFleetClient::connect(server.local_addr()).expect("connect");
+    let mut client = PipelinedFleetClient::connect(server.local_addr()).expect("connect");
+    // A hung server fails the test instead of stalling it.
     client
-        .call(&Request::Enroll {
-            device: "bus-000".into(),
-            nonce: 1,
-        })
+        .set_recv_timeout(Some(Duration::from_secs(120)))
+        .expect("timeout");
+    client
+        .call(
+            &Request::Enroll {
+                device: "bus-000".into(),
+                nonce: 1,
+            },
+            None,
+        )
         .expect("enroll");
 
     // Unknown device comes back as the typed error, not a dead socket.
     let err = client
-        .call(&Request::Verify {
-            device: "bus-999".into(),
-            nonce: 5,
-        })
+        .call(
+            &Request::Verify {
+                device: "bus-999".into(),
+                nonce: 5,
+            },
+            None,
+        )
         .expect_err("unknown device must fail");
     assert!(matches!(err, FleetError::UnknownDevice(ref d) if d == "bus-999"), "{err:?}");
 
-    // Hold the lone worker busy with a stream of in-process verifies,
-    // then send a 1 ms deadline over the wire: it queues behind work
-    // that takes longer than that, so it must come back
-    // `DeadlineExceeded` — and the connection must stay usable.
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for t in 0..2u64 {
-            let (stop, in_proc) = (&stop, in_proc.clone());
-            scope.spawn(move || {
-                let mut nonce = 10_000 * (t + 1);
-                while !stop.load(Ordering::Relaxed) {
-                    let _ = in_proc.call(Request::Verify {
-                        device: "bus-000".into(),
-                        nonce,
-                    });
-                    nonce += 1;
-                }
-            });
+    // Pipeline a batch enroll, then a verify with a 1 ms deadline, on
+    // one connection. The reactor admits a connection's requests in
+    // order and the lone worker dequeues FIFO, so the verify waits
+    // behind the whole batch and must come back `DeadlineExceeded`.
+    let batch = Request::EnrollBatch {
+        devices: (0..BOARDS)
+            .map(|i| (SimulatedFleet::device_name(i), 2))
+            .collect(),
+    };
+    let doomed = Request::Verify {
+        device: "bus-000".into(),
+        nonce: 6,
+    };
+    let ids = client
+        .send_batch(&[(batch, None), (doomed, Some(Duration::from_millis(1)))])
+        .expect("send");
+    let mut outcomes = [None, None];
+    while outcomes.iter().any(Option::is_none) {
+        match client.recv_event().expect("event") {
+            WireEvent::Reply { id, outcome } => {
+                let slot = ids.iter().position(|&x| x == id).expect("known id");
+                outcomes[slot] = Some(*outcome);
+            }
+            other => panic!("unexpected {other:?}"),
         }
-        // Wait until at least one request is actually queued (one in
-        // service + one waiting) before submitting the doomed request.
-        while in_proc.queue_depth() == 0 {
-            std::thread::yield_now();
-        }
-        let err = client
-            .call_with_deadline(
-                &Request::Verify {
-                    device: "bus-000".into(),
-                    nonce: 6,
-                },
-                Duration::from_millis(1),
-            )
-            .expect_err("1 ms deadline behind queued work must miss");
-        assert!(matches!(err, FleetError::DeadlineExceeded), "{err:?}");
-        stop.store(true, Ordering::Relaxed);
-    });
+    }
+    let [batch_outcome, doomed_outcome] = outcomes.map(|o| o.expect("replied"));
+    match batch_outcome.expect("batch enroll") {
+        Response::EnrolledBatch { devices } => assert_eq!(devices.len(), BOARDS),
+        other => panic!("unexpected {other:?}"),
+    }
+    let err = doomed_outcome.expect_err("1 ms deadline behind the batch must miss");
+    assert!(matches!(err, FleetError::DeadlineExceeded), "{err:?}");
 
-    match client.call(&Request::RegistrySnapshot).expect("socket survives") {
-        Response::Snapshot { devices } => assert_eq!(devices.len(), 1),
+    // The connection stays usable.
+    match client
+        .call(&Request::RegistrySnapshot, None)
+        .expect("socket survives")
+    {
+        Response::Snapshot { devices } => assert_eq!(devices.len(), BOARDS),
         other => panic!("unexpected {other:?}"),
     }
     drop(server);

@@ -51,7 +51,8 @@ fleet-demo:
 # Full fleet load benchmark: 64 buses, 16 concurrent clients, cold
 # (first-touch fabrication) and warm (cached) phases at 1 and 8 workers,
 # the overload/shedding phase, the 1000-board cohort intake, and the
-# wire phases (reactor-vs-threaded, 10k connections, churn, fairness).
+# wire phases (reactor at 1024 connections, reactor-vs-in-process
+# equivalence, 10k connections, churn, fairness).
 # Writes BENCH_fleet.json (per-phase throughput, p50/p99, speedups, shed
 # rate, cohort and wire metrics) at the repo root.
 bench-fleet:
@@ -74,8 +75,8 @@ bench-cohort:
 bench-cohort-intake:
     cargo run --release -p divot-bench --bin cohort_intake
 
-# Wire phases only: threaded-vs-reactor throughput at 1024 connections
-# (>=5x claim), byte-equivalence probe, 10k-connection scaling (child
+# Wire phases only: reactor throughput at 1024 connections, the
+# reactor-vs-in-process equivalence probe, 10k-connection scaling (child
 # driver), churn p99, and overload fairness. Writes BENCH_fleet.json with
 # the fleet/wire/* metrics.
 bench-wire:
