@@ -7,12 +7,21 @@
 //! configuration, under both execution policies. The Analytic/Trial ratio
 //! is published as `metric:` lines and, when `CRITERION_JSON` is set (see
 //! `just bench-itdr`), into the `metrics` section of `BENCH_itdr.json`.
+//!
+//! Two per-layer groups isolate the fleet's analytic sweep:
+//! `itdr/fleet_acquire` is one verify/scan acquisition (4 averaged
+//! measurements on a memoized, pre-seeded channel), and `itdr/std_cdf`
+//! times the comparator-CDF evaluations of one such acquisition, scalar
+//! against batched.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use divot_analog::frontend::FrontEndConfig;
 use divot_core::channel::BusChannel;
 use divot_core::exec::ExecPolicy;
 use divot_core::itdr::{AcqMode, Itdr, ItdrConfig};
+use divot_dsp::gaussian::{std_cdf, std_cdf_batch};
+use divot_dsp::quadrature::GaussHermite;
+use divot_fleet::{FleetSimConfig, SimulatedFleet};
 use divot_txline::board::{Board, BoardConfig};
 use std::hint::black_box;
 
@@ -101,6 +110,81 @@ fn bench_acq_paper_full(c: &mut Criterion) {
     group.finish();
 }
 
+/// One fleet verify/scan acquisition: `FleetSimConfig::fast` (analytic,
+/// 4 averaged measurements) on the memoized warm path, a fresh nonce per
+/// iteration, cycling over 64 pre-warmed devices.
+fn bench_fleet_acquire(c: &mut Criterion) {
+    let fleet = SimulatedFleet::new(FleetSimConfig::fast(64, 5));
+    let names = fleet.device_names();
+    for name in &names {
+        let _ = fleet.acquire(name, 0);
+    }
+    let mut group = c.benchmark_group("itdr/fleet_acquire");
+    group.sample_size(20);
+    let mut nonce = 0u64;
+    group.bench_function("fast_x4", |b| {
+        b.iter(|| {
+            nonce += 1;
+            let name = &names[nonce as usize % names.len()];
+            black_box(fleet.acquire(name, nonce))
+        })
+    });
+    group.finish();
+}
+
+/// The standardized comparator margins `(d + offset − level)/σ` one
+/// fleet acquisition evaluates: every non-saturated `(level, jitter
+/// node)` pair of every ETS point, in kernel order (~5,200 values).
+fn window_margins() -> Vec<f64> {
+    let board = Board::fabricate(&BoardConfig::small_test(), 5);
+    let fe = FrontEndConfig::default();
+    let mut ch = BusChannel::new(board.line(0).clone(), fe, 5);
+    let ctx = ch.measurement_context();
+    let cfg = ItdrConfig::fast();
+    let schedule = fe.level_schedule(cfg.repetitions);
+    let quad = GaussHermite::new(9);
+    let sigma = fe.effective_sigma();
+    let offset = ctx.frontend.comparator_offset();
+    let mut margins = Vec::new();
+    for n in 0..cfg.ets.points() {
+        let detectors: Vec<f64> = quad
+            .abscissas(cfg.ets.time_of(n), ctx.jitter_rms)
+            .map(|t| fe.coupler.detect(ctx.response.sample_at(t), ctx.forward.at(t)))
+            .collect();
+        let lo = detectors.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = detectors.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        for &(level, _) in &schedule {
+            let guard = 8.0 * sigma;
+            if level - (hi + offset) >= guard || (lo + offset) - level >= guard {
+                continue;
+            }
+            margins.extend(detectors.iter().map(|&d| (d + offset - level) / sigma));
+        }
+    }
+    margins
+}
+
+/// Scalar `std_cdf` per margin against one `std_cdf_batch` call, over
+/// one acquisition's worth of window margins.
+fn bench_std_cdf(c: &mut Criterion) {
+    let margins = window_margins();
+    println!("itdr/std_cdf: {} margins per acquisition", margins.len());
+    let mut group = c.benchmark_group("itdr/std_cdf");
+    group.sample_size(20);
+    group.bench_function("scalar", |b| {
+        b.iter(|| margins.iter().map(|&x| std_cdf(x)).sum::<f64>())
+    });
+    let mut lanes = margins.clone();
+    group.bench_function("batch", |b| {
+        b.iter(|| {
+            lanes.copy_from_slice(&margins);
+            std_cdf_batch(&mut lanes);
+            black_box(lanes[0])
+        })
+    });
+    group.finish();
+}
+
 /// Publish the Analytic-over-Trial speedup ratios (the acceptance numbers
 /// in `EXPERIMENTS.md`), computed from the medians of the benches above.
 fn record_speedups(c: &mut Criterion) {
@@ -128,6 +212,8 @@ criterion_group!(
     bench_enroll,
     bench_enroll_paper,
     bench_acq_paper_full,
+    bench_fleet_acquire,
+    bench_std_cdf,
     record_speedups
 );
 criterion_main!(benches);

@@ -1355,16 +1355,33 @@ fn quick_wire_smoke() {
 // Observability: tracing overhead and identity
 // ---------------------------------------------------------------------
 
-/// Measure the tracing tax on the warm verify path: one service run
-/// with no tracer in the process, one identically-seeded run after
-/// installing the process tracer at 1-in-16 sampling. Claims: verdict
-/// bits identical, warm p50 within 5%.
+/// Measure the tracing tax where spans actually fire: on the cold
+/// (fresh-nonce) verify path at 1-in-16 sampling.
 ///
-/// Installing a tracer is one-way, so the off-pass MUST come first; if
-/// `--trace` already installed one (or this phase ran twice), the
-/// comparison is impossible and the claims are reported SKIPPED.
+/// The estimator is a product of three measured factors, each with far
+/// less noise than the 5 % budget it is checked against:
+///
+/// * **ns per span** — spans timed back to back on the installed tracer
+///   and its JSONL sink (the full emit cost: clock reads, formatting,
+///   the buffered write);
+/// * **spans per cold request** — every span the traced run emitted
+///   (cold and warm phases) divided by its cold requests alone, which
+///   can only overstate the per-request span count;
+/// * **cold service time** — the untraced run's cold-phase wall time ×
+///   busy workers ÷ requests: the CPU time one fresh verify costs.
+///
+/// `overhead = ns/span × spans/request ÷ service time`. Latency
+/// comparisons cannot resolve this budget: on the replay path almost no
+/// spans fire, and sequential warm p50s of ~70 µs swung from −59 % to
+/// +36 % between runs on a 2-core host.
+///
+/// The untraced run also supplies the verdict bits the traced run must
+/// reproduce. Installing a tracer is one-way, so the untraced pass MUST
+/// come first; if `--trace` already installed one (or this phase ran
+/// twice), the comparison is impossible and the claims are reported
+/// SKIPPED.
 fn trace_overhead_phase(buses: usize, clients: usize, requests: usize) -> Vec<(String, f64)> {
-    banner("trace overhead (warm verify p50, 1-in-16 sampling)");
+    banner("trace overhead (cold verify, 1-in-16 sampling)");
     let mut metrics: Vec<(String, f64)> = Vec::new();
     if divot_telemetry::tracer().is_some() {
         print_metric(
@@ -1373,61 +1390,52 @@ fn trace_overhead_phase(buses: usize, clients: usize, requests: usize) -> Vec<(S
         );
         return metrics;
     }
+    const WORKERS: usize = 2;
 
-    // Min-of-three warm p50 per configuration: the estimator a few
-    // hundred microseconds of scheduler noise cannot flip.
-    let best = |label: &str| {
-        let mut best: Option<Run> = None;
-        for _ in 0..3 {
-            let run = run_workers(2, buses, clients, requests);
-            let keep = match &best {
-                Some(b) => {
-                    quantile(&run.warm.samples, 0.5) < quantile(&b.warm.samples, 0.5)
-                }
-                None => true,
-            };
-            if keep {
-                best = Some(run);
-            }
-        }
-        let run = best.expect("three passes ran");
-        print_metric(
-            &format!("warm_p50_ms_{label}"),
-            ms(quantile(&run.warm.samples, 0.5)),
-        );
-        run
-    };
+    let off = run_workers(WORKERS, buses, clients, requests);
+    let busy = WORKERS.min(divot_dsp::par::max_threads()) as f64;
+    let service_ns = off.cold.elapsed.as_secs_f64() * 1e9 * busy / requests as f64;
 
-    let off = best("tracing_off");
     let sink_path = std::env::temp_dir().join("fleet_load_trace.jsonl");
     let tracer = divot_telemetry::Tracer::to_file(&sink_path, 16).expect("trace sink");
     let installed = divot_telemetry::install_tracer(tracer).is_ok();
     assert!(installed, "no tracer existed above; install must win");
-    let on = best("tracing_on");
+    let emitted = || divot_telemetry::tracer().map_or(0, |t| t.emitted());
+    let on = run_workers(WORKERS, buses, clients, requests);
+    let spans = emitted();
+    let spans_per_request = spans as f64 / requests as f64;
 
-    let spans = divot_telemetry::tracer().map_or(0, |t| t.emitted());
+    // Time spans on the real tracer and sink. The probe spans carry their
+    // own stage name so they can be told apart in the sink.
+    let ctx = (0u64..)
+        .find_map(divot_telemetry::TraceCtx::sample)
+        .expect("1 in 16 trace ids is sampled");
+    const PROBES: u64 = 20_000;
+    let before = emitted();
+    let started = Instant::now();
+    for _ in 0..PROBES {
+        drop(ctx.span("verify", "overhead_probe"));
+    }
+    let span_ns = started.elapsed().as_secs_f64() * 1e9 / PROBES as f64;
+    assert_eq!(emitted() - before, PROBES, "every probe span is emitted");
+
+    let overhead = span_ns * spans_per_request / service_ns;
+    print_metric("trace_span_ns", format!("{span_ns:.0}"));
     print_metric("trace_spans_emitted", spans);
+    print_metric("trace_spans_per_cold_request", format!("{spans_per_request:.3}"));
+    print_metric("cold_service_us", format!("{:.1}", service_ns / 1e3));
     print_metric("trace_sink", sink_path.display());
-
-    let p50_off = quantile(&off.warm.samples, 0.5);
-    let p50_on = quantile(&on.warm.samples, 0.5);
-    let overhead = p50_on.as_secs_f64() / p50_off.as_secs_f64().max(1e-12) - 1.0;
-    print_metric("trace_warm_p50_overhead_pct", format!("{:.2}", overhead * 100.0));
+    print_metric("trace_overhead_pct", format!("{:.3}", overhead * 100.0));
     print_claim(
         "trace_verdicts_bitwise_identical",
         off.cold.bits() == on.cold.bits() && off.warm.bits() == on.warm.bits(),
     );
     print_claim("trace_spans_nonzero", spans > 0);
-    print_claim("trace_warm_p50_within_5pct", overhead <= 0.05);
+    print_claim("trace_overhead_within_5pct", overhead <= 0.05);
 
-    metrics.push((
-        "fleet/trace/warm_p50_off_ms".into(),
-        p50_off.as_secs_f64() * 1e3,
-    ));
-    metrics.push((
-        "fleet/trace/warm_p50_on_ms".into(),
-        p50_on.as_secs_f64() * 1e3,
-    ));
+    metrics.push(("fleet/trace/span_ns".into(), span_ns));
+    metrics.push(("fleet/trace/spans_per_cold_request".into(), spans_per_request));
+    metrics.push(("fleet/trace/cold_service_us".into(), service_ns / 1e3));
     metrics.push(("fleet/trace/overhead_pct".into(), overhead * 100.0));
     metrics.push(("fleet/trace/spans_emitted".into(), spans as f64));
     metrics

@@ -22,9 +22,11 @@ use crate::channel::{BusChannel, MeasurementContext};
 use crate::ets::EtsSchedule;
 use crate::exec::ExecPolicy;
 use crate::fingerprint::Fingerprint;
+use divot_analog::frontend::FrontEndConfig;
 use divot_dsp::filter::moving_average;
+use divot_dsp::gaussian::std_cdf_batch;
 use divot_dsp::quadrature::GaussHermite;
-use divot_dsp::rng::{mix_seed, DivotRng};
+use divot_dsp::rng::{mix_seed, Binomial, DivotRng};
 use divot_dsp::waveform::Waveform;
 use divot_telemetry::{Counter, Value};
 use divot_txline::units::Seconds;
@@ -263,12 +265,18 @@ impl AnalyticPlan {
 }
 
 /// The closed-form acquisition law of one ETS point: exact trigger
-/// totals for the saturated level tails plus the trip probabilities of
-/// the non-saturated window. Computing a law (quadrature over the
-/// response) is the expensive part of an analytic point; drawing one
+/// totals for the saturated level tails plus one prepared
+/// [`Binomial`] per non-saturated level. Computing a law (quadrature over
+/// the response) is the expensive part of an analytic point; drawing one
 /// measurement's counts from it is cheap — so when every context of a
 /// [`Itdr::measure_many`] call observes the same frozen environment,
 /// the law is computed once per point and shared by all measurements.
+///
+/// The window is not stored here: the kernel streams each level's
+/// `(trigger count, trip probability)`, in schedule order (the order the
+/// binomial stream is consumed in), to a sink — which prepares the
+/// level's binomial into a slot of the call's flat law buffer when the
+/// law is shared, or draws from it on the spot when it is not.
 struct PointLaw {
     /// Total triggers across levels saturated at `p = 1` (all trip).
     sat_one: u32,
@@ -277,9 +285,8 @@ struct PointLaw {
     /// Distinct levels in the saturated tails (telemetry parity with
     /// the full linear sweep).
     saturated: u64,
-    /// `(trigger count, trip probability)` of each non-saturated level,
-    /// in schedule order — the order the binomial stream is consumed in.
-    window: Vec<(u32, f64)>,
+    /// Number of non-saturated levels (prepared binomials) in the window.
+    window: usize,
 }
 
 /// The iTDR instrument.
@@ -297,6 +304,31 @@ impl Itdr {
     /// The configuration.
     pub fn config(&self) -> &ItdrConfig {
         &self.config
+    }
+
+    /// The latest time at which an acquisition with this instrument reads
+    /// a channel's response waveform, when that is bounded.
+    ///
+    /// On the analytic path (an [`AcqMode::Analytic`] instrument on a
+    /// front end that [supports it](FrontEndConfig::supports_analytic))
+    /// every read is at a Gauss–Hermite jitter abscissa around an ETS
+    /// point, so the horizon is the last ETS point plus the widest
+    /// abscissa, computed with the very arithmetic the sweep uses: no
+    /// read lands later (floating-point rounding is monotone). Trial mode
+    /// and the hysteresis fallback draw Gaussian jitter, whose reads are
+    /// unbounded, so they return `None`. A memoized response may be cut
+    /// one sample past this horizon without changing a single bit of any
+    /// acquisition.
+    pub fn read_horizon(&self, frontend: &FrontEndConfig) -> Option<f64> {
+        if self.config.acq_mode != AcqMode::Analytic || !frontend.supports_analytic() {
+            return None;
+        }
+        let ets = self.config.ets;
+        let last = ets.time_of(ets.points() - 1);
+        let horizon = GaussHermite::new(JITTER_QUAD_ORDER)
+            .abscissas(last, frontend.pll.jitter_rms)
+            .fold(f64::NEG_INFINITY, f64::max);
+        Some(horizon)
     }
 
     /// Acquire one ETS point: `repetitions` comparator trials on a forked
@@ -360,8 +392,34 @@ impl Itdr {
         tel: Option<&AcqTelemetry>,
         n: usize,
     ) -> f64 {
-        debug_assert_eq!(quad.order(), JITTER_QUAD_ORDER);
         let mut rng = DivotRng::derive(ctx.seed, ANALYTIC_DOMAIN ^ n as u64);
+        let mut counter = TripCounter::new();
+        let mut saturated = 0u64;
+        for (count, p, is_saturated) in self.full_sweep_levels(ctx, schedule, quad, n) {
+            saturated += u64::from(is_saturated);
+            counter.record_many(rng.binomial(u64::from(count), p) as u32, count);
+        }
+        if let Some(tel) = tel {
+            tel.analytic_points.inc();
+            tel.analytic_levels.add(schedule.len() as u64);
+            tel.analytic_saturated.add(saturated);
+        }
+        table.voltage(counter.count())
+    }
+
+    /// The full linear sweep's law of point `n`: `(trigger count, trip
+    /// probability, saturated?)` for every schedule level, in schedule
+    /// order, each non-saturated probability summed from one scalar
+    /// [`FrontEnd::trip_probability`](divot_analog::frontend::FrontEnd::trip_probability)
+    /// call per jitter node.
+    fn full_sweep_levels(
+        &self,
+        ctx: &MeasurementContext,
+        schedule: &[(f64, u32)],
+        quad: &GaussHermite,
+        n: usize,
+    ) -> Vec<(u32, f64, bool)> {
+        debug_assert_eq!(quad.order(), JITTER_QUAD_ORDER);
         let t_nominal = self.config.ets.time_of(n);
         let coupler = ctx.frontend.config().coupler;
         let mut detectors = [0.0f64; JITTER_QUAD_ORDER];
@@ -379,33 +437,26 @@ impl Itdr {
                 (lo.min(d), hi.max(d))
             });
         let guard = SATURATION_SIGMAS * sigma;
-        let mut counter = TripCounter::new();
-        let mut saturated = 0u64;
-        for &(level, count) in schedule {
-            let p = if sigma > 0.0 && level - (hi + offset) >= guard {
-                saturated += 1;
-                0.0
-            } else if sigma > 0.0 && (lo + offset) - level >= guard {
-                saturated += 1;
-                1.0
-            } else {
-                // Weighted quadrature sum; clamp the last few ULPs of
-                // round-off so the binomial's domain check never trips.
-                detectors
-                    .iter()
-                    .zip(quad.weights())
-                    .map(|(&d, &w)| w * ctx.frontend.trip_probability(d, level))
-                    .sum::<f64>()
-                    .clamp(0.0, 1.0)
-            };
-            counter.record_many(rng.binomial(u64::from(count), p) as u32, count);
-        }
-        if let Some(tel) = tel {
-            tel.analytic_points.inc();
-            tel.analytic_levels.add(schedule.len() as u64);
-            tel.analytic_saturated.add(saturated);
-        }
-        table.voltage(counter.count())
+        schedule
+            .iter()
+            .map(|&(level, count)| {
+                if sigma > 0.0 && level - (hi + offset) >= guard {
+                    (count, 0.0, true)
+                } else if sigma > 0.0 && (lo + offset) - level >= guard {
+                    (count, 1.0, true)
+                } else {
+                    // Weighted quadrature sum; clamp the last few ULPs of
+                    // round-off so the binomial's domain check never trips.
+                    let p = detectors
+                        .iter()
+                        .zip(quad.weights())
+                        .map(|(&d, &w)| w * ctx.frontend.trip_probability(d, level))
+                        .sum::<f64>()
+                        .clamp(0.0, 1.0);
+                    (count, p, false)
+                }
+            })
+            .collect()
     }
 
     /// Compute one ETS point's [`PointLaw`] with *bracketed* saturation:
@@ -422,11 +473,29 @@ impl Itdr {
     /// The predicates are verbatim the full sweep's, so the window edges
     /// agree with it bitwise (debug-asserted below).
     ///
+    /// The window's trip probabilities come from an allocation-free
+    /// kernel: σ_eff and the comparator offset are read once per point,
+    /// each window level's jitter-node margins `(d + offset − level)/σ`
+    /// go into one stack row, and [`std_cdf_batch`] evaluates the row.
+    /// The margin expression and the quadrature sum are those of
+    /// [`FrontEnd::trip_probability`](divot_analog::frontend::FrontEnd::trip_probability)
+    /// and the full sweep, operation for operation, so every probability
+    /// is bitwise the oracle's; at σ = 0 the lanes take
+    /// `trip_probability`'s step branch directly. Each window level's
+    /// `(trigger count, trip probability)` goes to `sink` in schedule
+    /// order.
+    ///
     /// The law depends only on the context's frozen environment (the
     /// response, forward wave, and comparator draw) — not on `ctx.seed` —
     /// which is what makes it shareable across the measurements of one
     /// call.
-    fn point_law(&self, ctx: &MeasurementContext, plan: &AnalyticPlan, n: usize) -> PointLaw {
+    fn point_law(
+        &self,
+        ctx: &MeasurementContext,
+        plan: &AnalyticPlan,
+        n: usize,
+        mut sink: impl FnMut(u32, f64),
+    ) -> PointLaw {
         let t_nominal = self.config.ets.time_of(n);
         let coupler = ctx.frontend.config().coupler;
         let mut detectors = [0.0f64; JITTER_QUAD_ORDER];
@@ -472,27 +541,40 @@ impl Itdr {
                 "bracketed p=0 window edge disagrees with the full sweep at level {level}"
             );
         }
-        let mut window = Vec::with_capacity(k0 - k1);
-        for (i, &(level, count)) in plan.schedule.iter().enumerate() {
-            let r = plan.rank[i] as usize;
-            if r < k1 || r >= k0 {
-                continue;
+        let window = plan
+            .schedule
+            .iter()
+            .zip(&plan.rank)
+            .filter(|&(_, &r)| (k1..k0).contains(&(r as usize)));
+        let mut prepared = 0;
+        for (&(level, count), _) in window {
+            let mut lanes = [0.0f64; JITTER_QUAD_ORDER];
+            if sigma > 0.0 {
+                for (x, &d) in lanes.iter_mut().zip(&detectors) {
+                    *x = (d + offset - level) / sigma;
+                }
+                std_cdf_batch(&mut lanes);
+            } else {
+                for (x, &d) in lanes.iter_mut().zip(&detectors) {
+                    *x = ctx.frontend.trip_probability(d, level);
+                }
             }
             // Weighted quadrature sum; clamp the last few ULPs of
             // round-off so the binomial's domain check never trips.
-            let p = detectors
+            let p = lanes
                 .iter()
                 .zip(plan.quad.weights())
-                .map(|(&d, &w)| w * ctx.frontend.trip_probability(d, level))
+                .map(|(&c, &w)| w * c)
                 .sum::<f64>()
                 .clamp(0.0, 1.0);
-            window.push((count, p));
+            sink(count, p);
+            prepared += 1;
         }
         PointLaw {
             sat_one: plan.prefix[k1],
             sat_zero: plan.prefix[len] - plan.prefix[k0],
             saturated: (k1 + (len - k0)) as u64,
-            window,
+            window: prepared,
         }
     }
 
@@ -508,21 +590,53 @@ impl Itdr {
         &self,
         ctx: &MeasurementContext,
         table: &ReconstructionTable,
-        plan: &AnalyticPlan,
         law: &PointLaw,
+        window: &[Binomial],
         tel: Option<&AcqTelemetry>,
         n: usize,
     ) -> f64 {
         let mut rng = DivotRng::derive(ctx.seed, ANALYTIC_DOMAIN ^ n as u64);
         let mut counter = TripCounter::new();
+        for b in window {
+            counter.record_many(b.sample(&mut rng) as u32, b.trials() as u32);
+        }
+        Self::finish_point(table, law, counter, tel)
+    }
+
+    /// Compute a point's law and draw one measurement from it on the fly
+    /// — the path for a context whose law no other measurement shares:
+    /// each level's binomial is drawn as the kernel emits it, in the same
+    /// schedule order, so nothing is buffered.
+    fn point_voltage_streamed(
+        &self,
+        ctx: &MeasurementContext,
+        table: &ReconstructionTable,
+        plan: &AnalyticPlan,
+        tel: Option<&AcqTelemetry>,
+        n: usize,
+    ) -> f64 {
+        let mut rng = DivotRng::derive(ctx.seed, ANALYTIC_DOMAIN ^ n as u64);
+        let mut counter = TripCounter::new();
+        let law = self.point_law(ctx, plan, n, |count, p| {
+            counter.record_many(rng.binomial(u64::from(count), p) as u32, count);
+        });
+        Self::finish_point(table, &law, counter, tel)
+    }
+
+    /// Record a law's saturated tails on top of its drawn window counts
+    /// and reconstruct the point's voltage.
+    fn finish_point(
+        table: &ReconstructionTable,
+        law: &PointLaw,
+        mut counter: TripCounter,
+        tel: Option<&AcqTelemetry>,
+    ) -> f64 {
         counter.record_many(law.sat_one, law.sat_one);
         counter.record_many(0, law.sat_zero);
-        for &(count, p) in &law.window {
-            counter.record_many(rng.binomial(u64::from(count), p) as u32, count);
-        }
         if let Some(tel) = tel {
             tel.analytic_points.inc();
-            tel.analytic_levels.add(plan.schedule.len() as u64);
+            // Every schedule level is either saturated or in the window.
+            tel.analytic_levels.add(law.saturated + law.window as u64);
             tel.analytic_saturated.add(law.saturated);
         }
         table.voltage(counter.count())
@@ -639,18 +753,29 @@ impl Itdr {
                 });
                 if uniform {
                     divot_telemetry::add("itdr.analytic.shared_laws", n_points as u64);
-                    let laws = policy.run_indexed(n_points, |n| {
-                        self.point_law(&contexts[0], plan, n)
+                    // One flat buffer per call: point `n`'s prepared
+                    // window fills the front of slot `n`.
+                    let levels = plan.schedule.len();
+                    let mut windows = vec![Binomial::new(0, 0.0); n_points * levels];
+                    let mut slots: Vec<&mut [Binomial]> = windows.chunks_mut(levels).collect();
+                    let laws = policy.run_mut(&mut slots, |n, slot| {
+                        let mut filled = 0;
+                        self.point_law(&contexts[0], plan, n, |count, p| {
+                            slot[filled] = Binomial::new(u64::from(count), p);
+                            filled += 1;
+                        })
                     });
+                    drop(slots);
                     policy.run_indexed(count * n_points, |idx| {
                         let (ctx, n) = (&contexts[idx / n_points], idx % n_points);
-                        self.point_voltage_from_law(ctx, &table, plan, &laws[n], tel.as_ref(), n)
+                        let law = &laws[n];
+                        let window = &windows[n * levels..][..law.window];
+                        self.point_voltage_from_law(ctx, &table, law, window, tel.as_ref(), n)
                     })
                 } else {
                     policy.run_indexed(count * n_points, |idx| {
                         let (ctx, n) = (&contexts[idx / n_points], idx % n_points);
-                        let law = self.point_law(ctx, plan, n);
-                        self.point_voltage_from_law(ctx, &table, plan, &law, tel.as_ref(), n)
+                        self.point_voltage_streamed(ctx, &table, plan, tel.as_ref(), n)
                     })
                 }
             }
@@ -819,7 +944,6 @@ impl Itdr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use divot_analog::frontend::FrontEndConfig;
     use divot_dsp::similarity::similarity;
     use divot_txline::board::{Board, BoardConfig};
 
@@ -1030,6 +1154,80 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn law_kernel_matches_the_oracle_probabilities_bitwise() {
+        // Acquired waveforms see a probability only through integer
+        // binomial draws, which a one-ulp drift almost never flips — so
+        // pin the kernel's prepared laws against the full sweep's scalar
+        // probabilities directly, for every point and window level.
+        use divot_analog::comparator::ComparatorConfig;
+        let board = Board::fabricate(&BoardConfig::small_test(), 31);
+        let itdr = Itdr::new(ItdrConfig::fast().with_acq_mode(AcqMode::Analytic));
+        let offset_heavy = FrontEndConfig {
+            comparator: ComparatorConfig {
+                offset_sigma: 4e-3,
+                ..ComparatorConfig::default()
+            },
+            ..FrontEndConfig::default()
+        };
+        let mut windows = 0;
+        for (k, fe) in [
+            FrontEndConfig::default(),
+            FrontEndConfig::with_emi_aggressor(),
+            offset_heavy,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for (line, seed) in [(0, 3u64), (1, 70 + k as u64)] {
+                let mut ch = BusChannel::new(board.line(line).clone(), fe, seed);
+                let plan = AnalyticPlan::new(ch.level_schedule(itdr.config.repetitions));
+                let ctx = ch.measurement_context();
+                for n in 0..itdr.config.ets.points() {
+                    let mut kernel = Vec::new();
+                    let law = itdr.point_law(&ctx, &plan, n, |count, p| {
+                        kernel.push((count, p.to_bits()));
+                    });
+                    let oracle: Vec<(u32, u64)> = itdr
+                        .full_sweep_levels(&ctx, &plan.schedule, &plan.quad, n)
+                        .into_iter()
+                        .filter(|&(_, _, saturated)| !saturated)
+                        .map(|(count, p, _)| (count, p.to_bits()))
+                        .collect();
+                    assert_eq!(kernel, oracle, "front end {k}, line {line}, point {n}");
+                    assert_eq!(law.window, kernel.len());
+                    windows += kernel.len();
+                }
+            }
+        }
+        assert!(windows > 1000, "only {windows} window levels compared");
+    }
+
+    #[test]
+    fn read_horizon_bounds_every_analytic_read() {
+        let fe = FrontEndConfig::default();
+        let cfg = ItdrConfig::fast().with_acq_mode(AcqMode::Analytic);
+        let horizon = Itdr::new(cfg).read_horizon(&fe).expect("analytic");
+        let last = cfg.ets.time_of(cfg.ets.points() - 1);
+        // Past the last point by the widest jitter node (~4.5 σ of 1.5 ps).
+        assert!(horizon > last && horizon < last + 10.0 * fe.pll.jitter_rms);
+        let quad = GaussHermite::new(JITTER_QUAD_ORDER);
+        for n in 0..cfg.ets.points() {
+            for t in quad.abscissas(cfg.ets.time_of(n), fe.pll.jitter_rms) {
+                assert!(t <= horizon, "point {n} reads at {t} past {horizon}");
+            }
+        }
+        assert_eq!(Itdr::new(ItdrConfig::fast()).read_horizon(&fe), None);
+        let hysteretic = FrontEndConfig {
+            comparator: divot_analog::comparator::ComparatorConfig {
+                hysteresis: 5e-4,
+                ..Default::default()
+            },
+            ..fe
+        };
+        assert_eq!(Itdr::new(cfg).read_horizon(&hysteretic), None);
     }
 
     #[test]

@@ -138,41 +138,23 @@ impl DivotRng {
     /// draw is reproducible from the seed.
     ///
     /// Degenerate probabilities (`p == 0`, `p == 1`) return without
-    /// consuming any randomness.
+    /// consuming any randomness. Shorthand for
+    /// `Binomial::new(n, p).sample(self)`; prepare the [`Binomial`] once
+    /// when the same law is drawn from repeatedly.
     ///
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]`.
     pub fn binomial(&mut self, n: u64, p: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
-        if n == 0 || p == 0.0 {
-            return 0;
-        }
-        if p == 1.0 {
-            return n;
-        }
-        // Work on q = min(p, 1−p) and mirror the result back.
-        let (q, flipped) = if p > 0.5 { (1.0 - p, true) } else { (p, false) };
-        let k = if n as f64 * q < BINOMIAL_INV_THRESHOLD {
-            self.binomial_inverse(n, q)
-        } else {
-            self.binomial_btpe(n, q)
-        };
-        if flipped {
-            n - k
-        } else {
-            k
-        }
+        Binomial::new(n, p).sample(self)
     }
 
     /// Inverse-CDF search: walk the pmf recurrence
-    /// `P(k+1) = P(k)·(n−k)/(k+1)·q/(1−q)` until the cumulative mass
-    /// passes a uniform draw. Exact; O(n·q) expected steps. Requires
-    /// `q ≤ 0.5` and a small mean so `(1−q)^n` stays well above the
-    /// underflow floor.
-    fn binomial_inverse(&mut self, n: u64, q: f64) -> u64 {
-        let s = q / (1.0 - q);
-        let mut pmf = ((n as f64) * (1.0 - q).ln()).exp();
+    /// `P(k+1) = P(k)·(n−k)/(k+1)·s` (`s = q/(1−q)`) from `P(0) = pmf0`
+    /// until the cumulative mass passes a uniform draw. Exact; O(n·q)
+    /// expected steps.
+    fn binomial_inverse(&mut self, n: u64, s: f64, pmf0: f64) -> u64 {
+        let mut pmf = pmf0;
         let mut cdf = pmf;
         let u = self.uniform();
         let mut k = 0u64;
@@ -222,6 +204,105 @@ impl DivotRng {
             if vt <= upper {
                 return kf as u64;
             }
+        }
+    }
+}
+
+/// A `Binomial(n, p)` law prepared for repeated sampling.
+///
+/// [`new`](Self::new) does everything [`DivotRng::binomial`] does before
+/// touching the generator — the domain check, the degenerate cases, the
+/// mirror to `q = min(p, 1−p)`, and for the inverse-CDF branch the pmf
+/// ratio `s = q/(1−q)` and the seed mass `(1−q)^n` (one `ln` plus one
+/// `exp`). [`sample`](Self::sample) then draws exactly what
+/// `binomial(n, p)` would: `DivotRng::binomial` is implemented as
+/// `Binomial::new(n, p).sample(rng)`, so there is one sampler, not two.
+/// The analytic acquisition path prepares each reference level's law
+/// once and samples it for every measurement that shares it.
+///
+/// The transformed-rejection branch (`n·q ≥ 10`) keeps only `q` and
+/// derives its constants per draw, which keeps every prepared law as
+/// small as an inverse-CDF one: that branch is rare at acquisition
+/// trigger counts, and its rejection loop's logarithms dwarf the setup
+/// it would save.
+///
+/// ```
+/// use divot_dsp::rng::{Binomial, DivotRng};
+///
+/// let law = Binomial::new(21, 0.3);
+/// let (mut a, mut b) = (DivotRng::seed_from_u64(5), DivotRng::seed_from_u64(5));
+/// for _ in 0..4 {
+///     assert_eq!(law.sample(&mut a), b.binomial(21, 0.3));
+/// }
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Binomial {
+    n: u64,
+    /// `p > ½`: the draw ran on `q = 1 − p` and is mirrored back.
+    flipped: bool,
+    method: BinomialMethod,
+}
+
+/// How a prepared [`Binomial`] draws.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum BinomialMethod {
+    /// `n == 0`, `p == 0` or `p == 1`: this count, no randomness consumed.
+    Constant(u64),
+    /// Inverse-CDF search from `P(0) = pmf0` with pmf ratio `s`.
+    Inverse { s: f64, pmf0: f64 },
+    /// Transformed rejection on `q`.
+    Rejection { q: f64 },
+}
+
+impl Binomial {
+    /// Prepare `Binomial(n, p)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not in `[0, 1]`.
+    pub fn new(n: u64, p: f64) -> Self {
+        assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
+        let constant = |k| Self {
+            n,
+            flipped: false,
+            method: BinomialMethod::Constant(k),
+        };
+        if n == 0 || p == 0.0 {
+            return constant(0);
+        }
+        if p == 1.0 {
+            return constant(n);
+        }
+        // Work on q = min(p, 1−p) and mirror the result back.
+        let (q, flipped) = if p > 0.5 { (1.0 - p, true) } else { (p, false) };
+        let method = if n as f64 * q < BINOMIAL_INV_THRESHOLD {
+            // A small mean keeps (1−q)^n well above the underflow floor.
+            BinomialMethod::Inverse {
+                s: q / (1.0 - q),
+                pmf0: ((n as f64) * (1.0 - q).ln()).exp(),
+            }
+        } else {
+            BinomialMethod::Rejection { q }
+        };
+        Self { n, flipped, method }
+    }
+
+    /// The number of trials `n`.
+    pub fn trials(&self) -> u64 {
+        self.n
+    }
+
+    /// Draw one count from `rng`.
+    pub fn sample(&self, rng: &mut DivotRng) -> u64 {
+        let k = match self.method {
+            BinomialMethod::Constant(k) => return k,
+            BinomialMethod::Inverse { s, pmf0 } => rng.binomial_inverse(self.n, s, pmf0),
+            BinomialMethod::Rejection { q } => rng.binomial_btpe(self.n, q),
+        };
+        if self.flipped {
+            self.n - k
+        } else {
+            k
         }
     }
 }

@@ -339,11 +339,36 @@ impl SimulatedFleet {
     /// physical peek (the scattering engine consumes no RNG), and the
     /// environment state is a pure function of the (static, room)
     /// environment.
+    ///
+    /// The memo keeps only what the instrument reads: when the
+    /// acquisition has a [read horizon](Itdr::read_horizon), the response
+    /// is cut one sample past it. [`Waveform::sample_at`] reads
+    /// `samples[i]` and `samples[i + 1]` only for `x = (t − t0)/dt`
+    /// strictly below the last index, and every read has `x ≤ x_horizon
+    /// < last kept index`, so the cut response answers every read with
+    /// the same bits as the full one.
     fn warm(&self, i: usize) -> &WarmDevice {
         let device = &self.devices[i];
         device.warm.get_or_init(|| {
             let mut probe = self.raw_channel(device, 0);
             let response = probe.response_now();
+            let response = match self.itdr.read_horizon(&self.config.frontend) {
+                Some(horizon) => {
+                    let x = (horizon - response.t0()) / response.dt();
+                    // Saturating cast: a horizon before t0 keeps 2 samples.
+                    let keep = (x.floor() as usize).saturating_add(2);
+                    if keep < response.len() {
+                        Arc::new(Waveform::new(
+                            response.t0(),
+                            response.dt(),
+                            response.samples()[..keep].to_vec(),
+                        ))
+                    } else {
+                        response
+                    }
+                }
+                None => response,
+            };
             let state = probe.environment().state_at(Seconds(0.0));
             WarmDevice { state, response }
         })
@@ -592,6 +617,44 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "{name}/{nonce}");
             }
         }
+    }
+
+    #[test]
+    fn memo_keeps_only_what_the_instrument_reads() {
+        let anomalies = vec![
+            (1, Anomaly::Counterfeit),
+            (2, Anomaly::Tampered(Attack::paper_wiretap())),
+            (3, Anomaly::Tampered(Attack::SolderScar { position: 0.4 })),
+        ];
+        let f = SimulatedFleet::new(FleetSimConfig::fast(4, 99).with_anomalies(anomalies));
+        for i in 0..4 {
+            let name = SimulatedFleet::device_name(i);
+            let full = f.raw_channel(&f.devices[i], 0).response_now();
+            let memo = &f.warm(i).response;
+            assert!(memo.len() < full.len(), "{name}: {} of {}", memo.len(), full.len());
+            assert_eq!(memo.samples(), &full.samples()[..memo.len()]);
+            // Every read up to the horizon — the horizon itself included —
+            // interpolates exactly as on the full response.
+            let horizon = f.itdr.read_horizon(&f.config.frontend).expect("analytic");
+            let reads = (0..)
+                .map(|k| memo.t0() + f64::from(k) * memo.dt() / 7.0)
+                .take_while(|&t| t < horizon)
+                .chain([horizon]);
+            for t in reads {
+                assert_eq!(memo.sample_at(t).to_bits(), full.sample_at(t).to_bits(), "{name} at {t}");
+            }
+            for nonce in [0u64, 9, 0xDEAD_BEEF] {
+                let fast = f.acquire(&name, nonce).unwrap();
+                let slow = f.acquire_uncached(&name, nonce).unwrap();
+                for (a, b) in fast.samples().iter().zip(slow.samples()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{name}/{nonce}");
+                }
+            }
+        }
+        // Trial-mode jitter reads are unbounded: the memo stays whole.
+        let trial = SimulatedFleet::new(FleetSimConfig::fast(1, 99).with_acq_mode(AcqMode::Trial));
+        let full = trial.raw_channel(&trial.devices[0], 0).response_now();
+        assert_eq!(trial.warm(0).response.len(), full.len());
     }
 
     #[test]
